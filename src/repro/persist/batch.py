@@ -49,6 +49,7 @@ import random
 import signal
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
@@ -77,6 +78,12 @@ def job_id_for(spec: dict) -> str:
     keyed = {k: spec.get(k) for k in
              ("source", "backend", "steps", "consts", "prove", "options")}
     return hashlib.sha256(canonical_json(keyed).encode()).hexdigest()
+
+
+def _record_key(data: dict) -> tuple:
+    """What tells one journaled transition from another."""
+    return (data.get("kind"), data.get("id"), data.get("state"),
+            data.get("attempt"), data.get("by"))
 
 
 class LeaseHeld(RuntimeError):
@@ -258,7 +265,10 @@ class SpoolLease:
         return monkey.lease_skew()
 
     def _write(self, data: dict) -> bool:
-        tmp = self.path.with_suffix(".tmp")
+        # One temp file per writing thread: two racing takeovers sharing
+        # one name could rename away each other's file mid-write.
+        tmp = self.path.with_suffix(
+            f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -423,6 +433,10 @@ class BatchReport:
         handoff visibility: which replica owned each job, who took it
         over, which verdicts were adopted from a peer instead of solved
         here, and how many orphaned jobs each dead owner left behind.
+        The two handoff counts partition the handed-off jobs, as
+        :meth:`describe` does: ``adopted`` verdicts were copied from a
+        peer, ``taken_over`` jobs were resolved by the taker itself (an
+        adoption is journaled by the taker, so its row names both).
         """
         orphaned_by_owner: dict[str, int] = {}
         handoff_rows: list[dict] = []
@@ -431,10 +445,10 @@ class BatchReport:
             if rec.orphaned:
                 key = rec.owner or "unknown"
                 orphaned_by_owner[key] = orphaned_by_owner.get(key, 0) + 1
-            if rec.taken_over_by:
-                handed_off += 1
             if rec.adopted_from:
                 adopted += 1
+            elif rec.taken_over_by:
+                handed_off += 1
             if rec.taken_over_by or rec.adopted_from:
                 # One row per handed-off job, carrying its trace_id so
                 # the failover path is joinable against the distributed
@@ -532,11 +546,22 @@ class BatchRunner:
         self._lock = threading.RLock()
         # Per-job engine knobs used by the default executor; set by run().
         self._run_knobs: dict[str, Any] = {}
-        # In-process job table: jobs submitted by THIS process, kept so
-        # a degraded journal (disk full, io_error chaos) costs only
-        # durability — the current run still executes every job.
-        self._mem: dict[str, JobRecord] = {}
-        self._mem_order: list[str] = []
+        # The live job table: built once by a full replay, then kept
+        # current by tailing the journal from ``_offset`` (the byte after
+        # the last record consumed), so per-request journal work does not
+        # grow with the journal.  Jobs whose journal append failed (disk
+        # full, io_error chaos) live here too: a degraded journal costs
+        # only durability — this process still executes every job.
+        self._jobs: dict[str, JobRecord] = {}
+        self._order: list[str] = []
+        self._offset: Optional[int] = None  # None: never replayed
+        self._snapshot_id: Optional[tuple] = None
+        # Keys of the records this runner appended that no tail has read
+        # back yet.  Their transitions are already in the table, and
+        # re-applying one late could roll back a newer transition whose
+        # append failed; so a tail skips them and applies only the
+        # records of other writers.
+        self._own: deque[tuple] = deque()
         self.journal = Journal(self.directory / self.JOURNAL, fsync=fsync)
         # Every job shares one on-disk result cache: a crashed job's
         # re-execution answers its solved sub-queries from disk.
@@ -547,63 +572,120 @@ class BatchRunner:
     # ----- journal state ----------------------------------------------------
 
     def load(self) -> tuple[dict[str, JobRecord], list[str]]:
-        """Rebuild the job table: snapshot first, then journal replay.
+        """The current job table: ``(jobs by id, submission order)``.
+
+        The containers are copies; the records are the live ones, so a
+        state transition applied to them (``mark_*``, ``adopt_verdict``)
+        is what later readers see.
+        """
+        with self._lock:
+            self._sync()
+            return dict(self._jobs), list(self._order)
+
+    def job(self, job_id: str) -> Optional[JobRecord]:
+        """A copy of one job's current record, or None if unknown."""
+        with self._lock:
+            self._sync()
+            rec = self._jobs.get(job_id)
+            return dataclasses.replace(rec) if rec is not None else None
+
+    def _sync(self) -> None:
+        """Bring the live table up to date with the spool (lock held).
+
+        Normally only the records appended since ``_offset`` are read
+        and verified — including those of other processes (a router's
+        handoff, ``repro batch run``, a second runner's
+        ``adopt_verdict``).  Three cases fall back to a full replay
+        from byte 0: the snapshot changed (a compaction), the journal
+        is shorter than the offset (reset under us), or a record past
+        the offset fails to verify.  Only the full replay may truncate
+        a torn tail; a possibly stale offset never decides one.
+        """
+        snapshot_id = self._snapshot_identity()
+        if self._offset is not None and snapshot_id == self._snapshot_id:
+            tailed = self.journal.tail(self._offset)
+            if tailed is not None:
+                records, self._offset = tailed
+                for data in records:
+                    if self._own and _record_key(data) == self._own[0]:
+                        self._own.popleft()
+                    else:
+                        self._apply(data)
+                return
+        self._replay_full(snapshot_id)
+
+    def _snapshot_identity(self) -> Optional[tuple]:
+        try:
+            st = os.stat(self.directory / self.SNAPSHOT)
+        except OSError:
+            return None
+        return st.st_ino, st.st_mtime_ns, st.st_size
+
+    def _replay_full(self, snapshot_id: Optional[tuple]) -> None:
+        """Rebuild the table: snapshot first, then the whole journal.
 
         Replay is idempotent — a transition already reflected in the
         snapshot re-applies to the same state — so a crash between
-        snapshot write and journal truncation costs nothing.  Holds the
-        runner lock: replay may truncate a torn tail, which must never
-        race a concurrent append from a serve worker thread.
+        snapshot write and journal truncation costs nothing.
         """
-        with self._lock:
-            return self._load_locked()
-
-    def _load_locked(self) -> tuple[dict[str, JobRecord], list[str]]:
-        jobs: dict[str, JobRecord] = {}
-        order: list[str] = []
+        previous, previous_order = self._jobs, self._order
+        self._jobs, self._order = {}, []
+        self._own.clear()
+        self._snapshot_id = snapshot_id
         snap = load_snapshot(self.directory / self.SNAPSHOT)
         if snap:
             for data in snap.get("jobs", ()):
-                rec = JobRecord.from_snapshot(data)
-                jobs[rec.job_id] = rec
-                order.append(rec.job_id)
-        for rec_data in self.journal.replay():
-            kind = rec_data.get("kind")
-            if kind == "submit":
-                spec = rec_data.get("spec") or {}
-                job_id = rec_data.get("id") or job_id_for(spec)
-                if job_id not in jobs:
-                    jobs[job_id] = JobRecord(
-                        job_id=job_id, spec=spec,
-                        trace=rec_data.get("trace"),
-                        owner=rec_data.get("owner"))
-                    order.append(job_id)
-            elif kind == "state":
-                rec = jobs.get(rec_data.get("id", ""))
-                if rec is None or rec_data.get("state") not in STATES:
-                    continue
-                rec.state = rec_data["state"]
-                rec.attempts = int(rec_data.get("attempt", rec.attempts))
-                if "verdict" in rec_data:
-                    rec.verdict = rec_data["verdict"]
-                if "exit_code" in rec_data:
-                    rec.exit_code = rec_data["exit_code"]
-                if "error" in rec_data:
-                    rec.error = rec_data["error"]
-                if "adopted_from" in rec_data:
-                    rec.adopted_from = rec_data["adopted_from"]
-                # A transition journaled by someone other than the job's
-                # submitter is the durable trace of a handoff.
-                by = rec_data.get("by")
-                if by and rec.owner and by != rec.owner:
-                    rec.taken_over_by = by
-        # Jobs this process submitted that never reached the journal
-        # (degraded writes): fold them in so they still execute.
-        for job_id in self._mem_order:
-            if job_id not in jobs:
-                jobs[job_id] = self._mem[job_id]
-                order.append(job_id)
-        return jobs, order
+                self._add(JobRecord.from_snapshot(data))
+        records, self._offset = self.journal.recover()
+        for data in records:
+            self._apply(data)
+        # A job whose submit never reached the journal (degraded
+        # append) is known only to this table: keep it.
+        for job_id in previous_order:
+            if job_id not in self._jobs:
+                self._add(previous[job_id])
+
+    def _add(self, rec: JobRecord) -> None:
+        if rec.job_id not in self._jobs:
+            self._order.append(rec.job_id)
+        self._jobs[rec.job_id] = rec
+
+    def _apply(self, data: dict) -> None:
+        """Apply one journal record to the table (idempotent)."""
+        kind = data.get("kind")
+        if kind == "submit":
+            spec = data.get("spec") or {}
+            job_id = data.get("id") or job_id_for(spec)
+            if job_id not in self._jobs:
+                self._add(JobRecord(
+                    job_id=job_id, spec=spec, trace=data.get("trace"),
+                    owner=data.get("owner")))
+        elif kind == "state":
+            rec = self._jobs.get(data.get("id", ""))
+            if rec is None or data.get("state") not in STATES:
+                return
+            rec.state = data["state"]
+            rec.attempts = int(data.get("attempt", rec.attempts))
+            if "verdict" in data:
+                rec.verdict = data["verdict"]
+            if "exit_code" in data:
+                rec.exit_code = data["exit_code"]
+            if "error" in data:
+                rec.error = data["error"]
+            if "adopted_from" in data:
+                rec.adopted_from = data["adopted_from"]
+            # A transition journaled by someone other than the job's
+            # submitter is the durable trace of a handoff.
+            by = data.get("by")
+            if by and rec.owner and by != rec.owner:
+                rec.taken_over_by = by
+
+    def _append(self, entry: dict) -> bool:
+        """Append one record of ours to the journal (lock held)."""
+        if not self.journal.append(entry):
+            return False
+        self._own.append(_record_key(entry))
+        return True
 
     def compact(self, jobs: dict[str, JobRecord],
                 order: Sequence[str]) -> bool:
@@ -633,7 +715,7 @@ class BatchRunner:
                 entry["by"] = self.owner
                 if self.lease.epoch:
                     entry["epoch"] = self.lease.epoch
-            self.journal.append(entry)
+            self._append(entry)
 
     def _may_write(self) -> bool:
         """Write fence for cluster spools: a runner whose lease moved
@@ -656,7 +738,7 @@ class BatchRunner:
         with self._lock:
             rec.attempts += 1
             rec.state = "running"
-        self._journal_state(rec)
+            self._journal_state(rec)
 
     def mark_done(self, rec: JobRecord, outcome: AnalysisOutcome) -> None:
         """Journal a terminal verdict for ``rec``."""
@@ -665,9 +747,9 @@ class BatchRunner:
             rec.verdict = outcome.verdict.value
             rec.exit_code = outcome.exit_code
             rec.error = None
-        self._journal_state(
-            rec, verdict=rec.verdict, exit_code=rec.exit_code,
-        )
+            self._journal_state(
+                rec, verdict=rec.verdict, exit_code=rec.exit_code,
+            )
         if METRICS.enabled:
             METRICS.counter_inc("repro_persist_jobs_done_total")
 
@@ -692,9 +774,10 @@ class BatchRunner:
             rec.exit_code = exit_code
             rec.error = None
             rec.adopted_from = source
-        self._journal_state(
-            rec, verdict=verdict, exit_code=exit_code, adopted_from=source,
-        )
+            self._journal_state(
+                rec, verdict=verdict, exit_code=exit_code,
+                adopted_from=source,
+            )
         if METRICS.enabled:
             METRICS.counter_inc("repro_persist_jobs_adopted_total")
 
@@ -703,7 +786,7 @@ class BatchRunner:
         with self._lock:
             rec.state = "failed"
             rec.error = error
-        self._journal_state(rec, error=error)
+            self._journal_state(rec, error=error)
         if METRICS.enabled:
             METRICS.counter_inc("repro_persist_retries_total")
 
@@ -712,7 +795,7 @@ class BatchRunner:
         with self._lock:
             rec.state = "deadletter"
             rec.error = error
-        self._journal_state(rec, error=error)
+            self._journal_state(rec, error=error)
         if METRICS.enabled:
             METRICS.counter_inc("repro_persist_deadletters_total")
 
@@ -721,7 +804,7 @@ class BatchRunner:
         with self._lock:
             rec.state = "pending"
             rec.recovered = True
-        self._journal_state(rec, note="recovered")
+            self._journal_state(rec, note="recovered")
         if METRICS.enabled:
             METRICS.counter_inc("repro_persist_recoveries_total")
 
@@ -744,8 +827,9 @@ class BatchRunner:
         journaled), so ``submit`` can be retried blindly after a crash.
         """
         with self._lock:
-            jobs, _ = self.load()
+            self._sync()
             ids: list[str] = []
+            appended = False
             # Capture the submitter's trace context once: jobs journaled
             # under an open span re-join that trace when executed later,
             # even by a different process after a crash.
@@ -759,22 +843,21 @@ class BatchRunner:
                 }
                 job_id = job_id_for(spec)
                 ids.append(job_id)
-                if job_id in jobs:
+                if job_id in self._jobs:
                     continue  # idempotent resubmission
-                rec = JobRecord(job_id=job_id, spec=spec, trace=trace,
-                                owner=self.owner)
-                jobs[job_id] = rec
-                self._mem[job_id] = rec
-                self._mem_order.append(job_id)
+                self._add(JobRecord(job_id=job_id, spec=spec, trace=trace,
+                                    owner=self.owner))
                 entry = {"kind": "submit", "id": job_id, "spec": spec}
                 if trace is not None:
                     entry["trace"] = trace
                 if self.owner is not None:
                     entry["owner"] = self.owner
-                self.journal.append(entry)
+                appended |= self._append(entry)
                 if METRICS.enabled:
                     METRICS.counter_inc("repro_persist_jobs_submitted_total")
             self.journal.flush()
+            if appended:
+                self._sync()  # consume our own submit records
             return ids
 
     def submit_one(
@@ -800,13 +883,7 @@ class BatchRunner:
                 backend=backend, steps=steps, consts=consts, prove=prove,
                 options=options,
             )
-            rec = self._mem.get(ids[0])
-            if rec is None:
-                jobs, _ = self.load()
-                rec = jobs[ids[0]]
-                self._mem[rec.job_id] = rec
-                self._mem_order.append(rec.job_id)
-            return rec
+            return self._jobs[ids[0]]
 
     # ----- execution --------------------------------------------------------
 
@@ -948,7 +1025,7 @@ class BatchRunner:
                                 self.journal.flush()
                                 _die_hard()
                             break
-        report.records = [jobs_table[j] for j in order]
+        report.records = [dataclasses.replace(jobs_table[j]) for j in order]
         self.journal.flush()
         try:
             journal_bytes = (self.directory / self.JOURNAL).stat().st_size
@@ -966,8 +1043,13 @@ class BatchRunner:
         ``orphaned`` so reports show it distinctly from pending and
         done/failed work — ``repro batch resume`` will requeue it.
         """
-        jobs_table, order = self.load()
-        report = BatchReport(records=[jobs_table[j] for j in order])
+        with self._lock:
+            self._sync()
+            records = [dataclasses.replace(self._jobs[j])
+                       for j in self._order]
+        # Flag the copies: a live record that is running in this process
+        # must never be marked orphaned.
+        report = BatchReport(records=records)
         for rec in report.records:
             if rec.state == "running":
                 rec.orphaned = True

@@ -13,7 +13,9 @@ certificates and cache entries.  A record is accepted on replay only if
 it parses *and* both frame fields match; the first record that fails is
 treated as the torn tail of an interrupted write and the file is
 truncated back to the last good byte, so a crash mid-``write()`` can
-never poison subsequent appends.
+never poison subsequent appends.  A reader that keeps state current
+calls :meth:`Journal.tail` instead: it verifies only the records
+appended since a byte offset and never modifies the file.
 
 Fsync policy (the durability/throughput dial):
 
@@ -45,7 +47,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 from ..obs import METRICS
 
@@ -155,7 +157,14 @@ class Journal:
         return True
 
     def flush(self) -> None:
-        if self._fh is not None:
+        """Push buffered appends to the OS and, unless the policy is
+        ``"never"``, fsync them.
+
+        A no-op when no append is left unsynced: under ``"always"``
+        each append already synced itself, so a second fsync would pay
+        for nothing.
+        """
+        if self._fh is not None and self._unsynced:
             try:
                 self._fh.flush()
                 if self.fsync != "never":
@@ -194,12 +203,18 @@ class Journal:
     # ----- replay -----------------------------------------------------------
 
     def replay(self, truncate_torn_tail: bool = True) -> list[Any]:
-        """Read back every intact record, truncating any torn tail.
+        """Read back every intact record, truncating any torn tail."""
+        return self.recover(truncate_torn_tail)[0]
+
+    def recover(self, truncate_torn_tail: bool = True
+                ) -> tuple[list[Any], int]:
+        """Full replay from byte 0: every intact record, plus the byte
+        offset a later :meth:`tail` resumes from.
 
         The first line that fails to parse or verify marks the end of
         the valid prefix; with ``truncate_torn_tail`` the file is cut
         back to that byte so future appends start from a clean state.
-        Must be called before :meth:`append` opens the file.
+        This is the only place a torn tail is ever truncated.
         """
         records: list[Any] = []
         good_bytes = 0
@@ -207,13 +222,13 @@ class Journal:
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
-            return records
+            return records, 0
         except OSError:
             self.degraded = True
             if METRICS.enabled:
                 METRICS.counter_inc(
                     "repro_persist_io_errors_total", where="journal")
-            return records
+            return records, 0
         offset = 0
         for chunk in raw.split(b"\n"):
             if not chunk:
@@ -224,12 +239,14 @@ class Journal:
                 line_len = len(chunk)  # final line, unterminated
             try:
                 records.append(_unframe(chunk.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError, json.JSONDecodeError):
+            except ValueError:  # incl. JSON and UTF-8 decode errors
                 torn = True
                 break
             offset += line_len
             good_bytes = offset
+        end = len(raw)
         if torn:
+            end = good_bytes
             if METRICS.enabled:
                 METRICS.counter_inc(
                     "repro_persist_torn_tail_truncations_total")
@@ -246,12 +263,48 @@ class Journal:
             try:
                 with open(self.path, "ab") as fh:
                     fh.write(b"\n")
+                end += 1
             except OSError:
                 self.degraded = True
-        return records
+        return records, end
 
-    def iter_records(self) -> Iterator[Any]:  # pragma: no cover - thin alias
-        return iter(self.replay(truncate_torn_tail=False))
+    def tail(self, offset: int) -> Optional[tuple[list[Any], int]]:
+        """Verify only the records appended since byte ``offset``.
+
+        Returns ``(records, end)`` with ``end`` the next resume offset,
+        or None when the caller must fall back to :meth:`recover`: the
+        file is shorter than ``offset`` (reset under us), a line fails
+        to verify, or the last line is unterminated.  Never modifies
+        the file — a resume offset may be stale, so it must not decide
+        what a torn tail is.
+        """
+        try:
+            size = os.stat(self.path).st_size
+        except FileNotFoundError:
+            size = 0
+        except OSError:
+            return None
+        if size < offset:
+            return None
+        if size == offset:
+            return [], offset
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(offset)
+                raw = fh.read()
+        except OSError:
+            return None
+        if not raw.endswith(b"\n"):
+            return None
+        records: list[Any] = []
+        for chunk in raw[:-1].split(b"\n"):
+            if not chunk:
+                continue
+            try:
+                records.append(_unframe(chunk.decode("utf-8")))
+            except ValueError:
+                return None
+        return records, offset + len(raw)
 
 
 def tear_tail(path: Union[str, Path]) -> bool:

@@ -142,8 +142,8 @@ class AdmissionController:
         degrade_ratio: float = 0.5,
         shed_ratio: float = 0.875,
         shed_priority_floor: int = 1,
-        default_rate: float = 50.0,
-        default_burst: float = 100.0,
+        default_rate: float = 200.0,
+        default_burst: float = 400.0,
         drain_retry_after: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
     ):

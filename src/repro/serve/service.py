@@ -86,8 +86,14 @@ class ServeConfig:
     # Admission: the bounded queue and tenant defaults.
     queue_limit: int = 8
     workers: int = 2
-    default_rate: float = 50.0
-    default_burst: float = 100.0
+    # An unregistered tenant's token bucket.  It divides capacity among
+    # tenants; overload protection is the bounded queue's job.  So it
+    # sits well above what one replica serves (~100 req/s on one
+    # x86-64 core for a mix of replays, cache hits and small fresh
+    # solves): a lone tenant is never throttled below the capacity the
+    # server has.
+    default_rate: float = 200.0
+    default_burst: float = 400.0
     shed_priority_floor: int = 1
     # The ladder's budgets: full-service vs degraded (fast UNKNOWN).
     deadline_seconds: float = 30.0
@@ -568,8 +574,7 @@ class AnalysisService:
     # ----- read-only endpoints ----------------------------------------------
 
     def job_status(self, job_id: str) -> tuple[int, dict]:
-        jobs, _ = self.runner.load()
-        rec = jobs.get(job_id)
+        rec = self.runner.job(job_id)
         if rec is None:
             return 404, {"error": f"unknown job {job_id!r}"}
         return 200, {
@@ -605,8 +610,7 @@ class AnalysisService:
         original request, its portfolio workers, and any later resume
         that re-adopted the trace.
         """
-        jobs, _ = self.runner.load()
-        rec = jobs.get(job_id)
+        rec = self.runner.job(job_id)
         if rec is None:
             return 404, {"error": f"unknown job {job_id!r}"}
         trace_id = rec.trace_id
@@ -624,8 +628,7 @@ class AnalysisService:
 
     def job_progress(self, job_id: str) -> tuple[int, dict]:
         """`GET /v1/jobs/<id>/progress`: the live solver-progress ring."""
-        jobs, _ = self.runner.load()
-        rec = jobs.get(job_id)
+        rec = self.runner.job(job_id)
         if rec is None:
             return 404, {"error": f"unknown job {job_id!r}"}
         return 200, {

@@ -632,6 +632,212 @@ class TestBatchRunner:
         assert any((tmp_path / "cache").rglob("*.json"))
 
 
+class TestLiveJobTable:
+    """One live job table per runner, kept current by tailing the
+    journal; the three full-replay fallbacks; constant per-request
+    journal work."""
+
+    @staticmethod
+    def _count_recovers(runner, monkeypatch):
+        calls = []
+        real = runner.journal.recover
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner.journal, "recover", counting)
+        return calls
+
+    def test_peer_adoption_shows_up_without_executing(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        first = BatchRunner(tmp_path, executor=lambda rec: calls.append(rec)
+                            or _proved())
+        rec = first.submit_one(SRC, label="a")
+        assert rec.state == "pending"
+        recovers = self._count_recovers(first, monkeypatch)
+        with BatchRunner(tmp_path) as second:
+            jobs, _ = second.load()
+            second.adopt_verdict(jobs[rec.job_id], "proved", 0,
+                                 source="peer")
+        again = first.submit_one(SRC, label="a")
+        assert again is rec  # tailed into the live record, not rebuilt
+        assert recovers == []
+        assert (again.state, again.verdict) == ("done", "proved")
+        assert again.adopted_from == "peer"
+        report = first.run()
+        assert (report.executed, report.replayed) == (0, 1)
+        assert calls == []
+        first.close()
+
+    def test_foreign_compaction_forces_a_full_reload(self, tmp_path,
+                                                     monkeypatch):
+        journal = tmp_path / BatchRunner.JOURNAL
+        reader = BatchRunner(tmp_path)
+        reader.submit([("a", SRC + "\n// a")])
+        old_offset = journal.stat().st_size
+        recovers = self._count_recovers(reader, monkeypatch)
+        with BatchRunner(tmp_path, executor=_proved,
+                         compact_after_bytes=1) as other:
+            other.run()  # executes "a", then compacts
+            assert journal.stat().st_size == 0
+            # Regrow the journal so a record boundary falls exactly on
+            # the reader's old offset: a stale tail from there would
+            # verify "c" and silently miss "b".
+            other.submit([("b", SRC + "\n// b")])
+            assert journal.stat().st_size == old_offset
+            other.submit([("c", SRC + "\n// c")])
+        report = reader.status()
+        assert recovers == [1]
+        assert [(r.label, r.state) for r in report.records] == [
+            ("a", "done"), ("b", "pending"), ("c", "pending")]
+        reader.close()
+
+    def test_torn_tail_is_cut_only_by_a_full_replay(self, tmp_path,
+                                                    monkeypatch):
+        from repro.persist.journal import tear_tail
+
+        journal = tmp_path / BatchRunner.JOURNAL
+        runner = BatchRunner(tmp_path)
+        ids = runner.submit([(f"j{i}", SRC + f"\n// {i}")
+                             for i in range(3)])
+        verified = journal.read_bytes()
+        offset = len(verified)
+        with BatchRunner(tmp_path) as peer:
+            peer.submit([("late", SRC + "\n// late")])
+        assert tear_tail(journal)
+        torn = journal.read_bytes()
+        # A tail never decides what is torn: it reports and leaves the
+        # file exactly as it found it.
+        assert runner.journal.tail(offset) is None
+        assert journal.read_bytes() == torn
+        recovers = self._count_recovers(runner, monkeypatch)
+        jobs, order = runner.load()
+        assert recovers == [1]
+        assert journal.read_bytes() == verified  # cut to the good prefix
+        assert order == ids
+        # Appends after the cut start on a fresh line and stay readable.
+        runner.submit([("next", SRC + "\n// next")])
+        with BatchRunner(tmp_path) as fresh:
+            assert len(fresh.status().records) == 4
+        runner.close()
+
+    def test_job_whose_append_failed_still_executes(self, tmp_path):
+        calls = []
+        runner = BatchRunner(tmp_path, executor=lambda rec: calls.append(
+            rec.job_id) or _proved())
+        with inject_faults(io_error_rate=1.0, seed=3) as monkey:
+            (job_id,) = runner.submit([SRC])
+        assert monkey.log.io_errors >= 1
+        assert runner.journal.degraded
+        assert not (tmp_path / BatchRunner.JOURNAL).exists()
+        # A foreign compaction forces a full replay, which must not
+        # forget the job only this runner's table knows.
+        with BatchRunner(tmp_path) as other:
+            assert other.compact(*other.load())
+        report = runner.run()
+        assert calls == [job_id]
+        assert [(r.job_id, r.state) for r in report.records] == [
+            (job_id, "done")]
+        runner.close()
+
+    def test_failed_append_never_rolls_a_job_back(self, tmp_path):
+        """A tail skips this runner's own records: re-applying the
+        journaled ``running`` after a ``done`` whose append failed would
+        turn a solved job back into one that must run again."""
+        runner = BatchRunner(tmp_path)
+        rec = runner.submit_one(SRC)
+        runner.mark_running(rec)
+        with inject_faults(io_error_rate=1.0, seed=3):
+            runner.mark_done(rec, _proved())
+        again = runner.submit_one(SRC)
+        assert (again.state, again.verdict) == ("done", "proved")
+        runner.close()
+
+    def test_concurrent_workers_keep_the_table_coherent(self, tmp_path):
+        """More worker threads than cores submit, solve, replay and read
+        one runner under a tiny switch interval: no transition is lost,
+        and the live table ends equal to a fresh full replay."""
+        import sys
+        import threading
+
+        runner = BatchRunner(tmp_path)
+        sources = [SRC + f"\n// {i}" for i in range(48)]
+        errors: list = []
+
+        def worker(k: int) -> None:
+            try:
+                for src in sources[k::6]:
+                    rec = runner.submit_one(src)
+                    runner.mark_running(rec)
+                    runner.status()
+                    runner.mark_done(rec, _proved())
+                    again = runner.submit_one(src)
+                    assert (again.state, again.attempts) == ("done", 1)
+                    assert runner.job(rec.job_id).state == "done"
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+
+        def table(r):
+            return [(rec.job_id, rec.state, rec.attempts, rec.verdict)
+                    for rec in r.status().records]
+
+        live = table(runner)
+        assert len(live) == len(sources)
+        assert {row[1:] for row in live} == {("done", 1, "proved")}
+        with BatchRunner(tmp_path) as fresh:
+            assert table(fresh) == live
+        runner.close()
+
+    def test_per_request_journal_work_is_constant(self, tmp_path,
+                                                  monkeypatch):
+        """With 200 jobs journaled, a replayed submit verifies no
+        journal record and never fsyncs; a new one (fsync="always")
+        verifies only its own record and fsyncs exactly once."""
+        from repro.persist import journal as journal_mod
+
+        runner = BatchRunner(tmp_path, executor=_proved)
+        assert runner.journal.fsync == "always"
+        runner.submit([(f"j{i}", SRC + f"\n// {i}") for i in range(200)])
+        runner.run()
+        runner.load()
+        counts = {"verified": 0, "fsync": 0}
+        real_unframe, real_fsync = journal_mod._unframe, os.fsync
+
+        def unframe(line):
+            counts["verified"] += 1
+            return real_unframe(line)
+
+        def fsync(fd):
+            counts["fsync"] += 1
+            return real_fsync(fd)
+
+        monkeypatch.setattr(journal_mod, "_unframe", unframe)
+        monkeypatch.setattr(os, "fsync", fsync)
+        rec = runner.submit_one(SRC + "\n// 7", label="j7")
+        assert rec.state == "done"
+        assert counts == {"verified": 0, "fsync": 0}
+        rec = runner.submit_one(SRC + "\n// new", label="new")
+        assert rec.state == "pending"
+        assert counts == {"verified": 1, "fsync": 1}
+        runner.close()
+
+
 class TestAnalyzeMany:
     def test_plain_loop_without_journal(self):
         outcomes = analyze_many([SRC], steps=2)

@@ -375,6 +375,46 @@ def test_half_open_probe_loser_gets_503_with_retry_after(tmp_path):
         service.close()
 
 
+def test_jobs_index_during_a_solve_leaves_the_live_record_alone(tmp_path):
+    """`GET /v1/jobs` reports an in-flight job as orphaned (nothing in
+    the journal says it is alive), but only on a copy: the live record
+    the solve holds is never flagged, and the job still finishes."""
+    entered = threading.Event()
+    gate = threading.Event()
+    live: list = []
+
+    def gated_fn(rec, budget, escalation):
+        live.append(rec)
+        entered.set()
+        gate.wait(30.0)
+        return AnalysisOutcome(verdict=Verdict.PROVED)
+
+    service = make_service(tmp_path, solve_fn=gated_fn)
+    server = ReproServer(service)
+    server.start_background()
+    try:
+        client = ServiceClient(port=server.port, timeout=30.0)
+        result: dict = {}
+        t = threading.Thread(target=lambda: result.update(
+            client.analyze(variant(50), retry=False)))
+        t.start()
+        assert entered.wait(30.0)
+        index = client.jobs()
+        (row,) = index["jobs"]
+        assert row["state"] == "orphaned"
+        assert live[0].orphaned is False
+        assert live[0].state == "running"
+        gate.set()
+        t.join(30.0)
+        assert result["verdict"] == "proved"
+        job = client.job(result["job_id"])
+        assert job["state"] == "done"
+        assert live[0].orphaned is False
+    finally:
+        gate.set()
+        server.stop_background()
+
+
 def test_health_names_the_replica_and_its_lease(tmp_path):
     service = make_service(tmp_path, solve_fn=proved_fn, name="replica-7")
     try:
