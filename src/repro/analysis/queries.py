@@ -115,7 +115,7 @@ def ordering_fifo(backend: SmtBackend, output: str, first_flow: int,
                 mk_lt(mk_int(i), buf.length),
                 mk_eq(buf.flows[i], mk_int(second_flow)),
             )
-            for i in range(1, buf.capacity)
+            for i in range(1, buf.hi)
         ]
     )
     return mk_and(head_is_first, second_present)

@@ -52,6 +52,13 @@ def gite(guard: Term, then: Term, els: Term) -> Term:
     return mk_ite(guard, then, els)
 
 
+def _has_room(length: Term, hi: int, capacity: int) -> Term:
+    """``length < capacity``, which is ``TRUE`` while ``hi < capacity``."""
+    if hi < capacity:
+        return TRUE
+    return mk_lt(length, mk_int(capacity))
+
+
 class SymbolicList:
     """A bounded FIFO list of integers with ``-1`` as the empty sentinel.
 
@@ -59,6 +66,10 @@ class SymbolicList:
     list returns ``-1`` and leaves the list unchanged; ``push_back`` on
     a full list is a no-op but raises the ``overflowed`` flag, which
     back ends may assert never fires (capacity adequacy check).
+
+    ``hi`` is a static (plain-int) upper bound on ``length``: slots at
+    index ``hi`` and above still hold the ``-1`` constant, so every slot
+    loop stops there.
     """
 
     def __init__(self, capacity: int, name: str = "list"):
@@ -69,32 +80,35 @@ class SymbolicList:
         self.elems: list[Term] = [mk_int(-1)] * capacity
         self.length: Term = ZERO
         self.overflowed: Term = FALSE
+        self.hi = 0
 
     def push_back(self, value: Term, guard: Term) -> None:
-        has_room = mk_lt(self.length, mk_int(self.capacity))
+        has_room = _has_room(self.length, self.hi, self.capacity)
         can = mk_and(guard, has_room)
         self.overflowed = mk_or(
             self.overflowed, mk_and(guard, mk_not(has_room))
         )
-        for i in range(self.capacity):
+        for i in range(min(self.hi + 1, self.capacity)):
             at_slot = mk_and(can, mk_eq(self.length, mk_int(i)))
             self.elems[i] = gite(at_slot, value, self.elems[i])
         self.length = self.length + mk_bool_to_int(can)
+        if guard is not FALSE:
+            self.hi = min(self.hi + 1, self.capacity)
 
     def pop_front(self, guard: Term) -> Term:
         nonempty = mk_lt(ZERO, self.length)
         result = gite(nonempty, self.elems[0], mk_int(-1))
         do_pop = mk_and(guard, nonempty)
-        for i in range(self.capacity - 1):
-            self.elems[i] = gite(do_pop, self.elems[i + 1], self.elems[i])
-        self.elems[-1] = gite(do_pop, mk_int(-1), self.elems[-1])
+        for i in range(self.hi):
+            nxt = self.elems[i + 1] if i + 1 < self.capacity else mk_int(-1)
+            self.elems[i] = gite(do_pop, nxt, self.elems[i])
         self.length = self.length - mk_bool_to_int(do_pop)
         return result
 
     def has(self, value: Term) -> Term:
         hits = [
             mk_and(mk_lt(mk_int(i), self.length), mk_eq(self.elems[i], value))
-            for i in range(self.capacity)
+            for i in range(self.hi)
         ]
         return mk_or(*hits) if hits else FALSE
 
@@ -118,6 +132,7 @@ class SymbolicList:
         bounds[length.name] = (0, self.capacity)
         self.length = length
         self.overflowed = FALSE
+        self.hi = self.capacity
 
     def empty(self) -> Term:
         return mk_eq(self.length, ZERO)
@@ -184,7 +199,12 @@ class SymbolicBufferModel:
 
 
 class SymbolicListBuffer(SymbolicBufferModel):
-    """Packet-list precision: slots of (flow, size) with a length term."""
+    """Packet-list precision: slots of (flow, size) with a length term.
+
+    ``hi`` is a static (plain-int) upper bound on ``length``: slots at
+    index ``hi`` and above still hold the empty constants (flow ``-1``,
+    size ``0``), so every slot loop stops there.
+    """
 
     def __init__(self, capacity: int, name: str = "buffer"):
         if capacity <= 0:
@@ -194,6 +214,7 @@ class SymbolicListBuffer(SymbolicBufferModel):
         self.flows: list[Term] = [mk_int(-1)] * capacity
         self.sizes: list[Term] = [ZERO] * capacity
         self.length: Term = ZERO
+        self.hi = 0
         self.stats = BufferStatTerms()
 
     def max_drain(self) -> int:
@@ -217,67 +238,66 @@ class SymbolicListBuffer(SymbolicBufferModel):
             return self.length
         return mk_sum(
             [mk_bool_to_int(self._slot_matches(i, fieldname, value))
-             for i in range(self.capacity)]
+             for i in range(self.hi)]
         )
 
     def backlog_b(self, fieldname=None, value=None) -> Term:
         return mk_sum(
             [mk_ite(self._slot_matches(i, fieldname, value), self.sizes[i], ZERO)
-             for i in range(self.capacity)]
+             for i in range(self.hi)]
         )
 
     # ----- mutation ------------------------------------------------------------
 
     def enqueue(self, packet: SymbolicPacket) -> None:
-        has_room = mk_lt(self.length, mk_int(self.capacity))
+        has_room = _has_room(self.length, self.hi, self.capacity)
         can = mk_and(packet.present, has_room)
         dropped = mk_and(packet.present, mk_not(has_room))
-        for i in range(self.capacity):
+        for i in range(min(self.hi + 1, self.capacity)):
             at_slot = mk_and(can, mk_eq(self.length, mk_int(i)))
             self.flows[i] = gite(at_slot, packet.flow, self.flows[i])
             self.sizes[i] = gite(at_slot, packet.size, self.sizes[i])
         self.length = self.length + mk_bool_to_int(can)
+        if packet.present is not FALSE:
+            self.hi = min(self.hi + 1, self.capacity)
         self.stats.enq_p = self.stats.enq_p + mk_bool_to_int(can)
         self.stats.enq_b = self.stats.enq_b + gite(can, packet.size, ZERO)
         self.stats.drop_p = self.stats.drop_p + mk_bool_to_int(dropped)
         self.stats.drop_b = self.stats.drop_b + gite(dropped, packet.size, ZERO)
 
-    def _shift_out(self, k: Term) -> None:
-        """Remove the first ``k`` packets (0 <= k <= length) by shifting."""
-        new_flows: list[Term] = []
-        new_sizes: list[Term] = []
-        for i in range(self.capacity):
+    def _shift_out(self, k: Term, n: int) -> None:
+        """Remove the first ``k`` packets (0 <= k <= n <= hi) by shifting."""
+        for i in range(self.hi):
             flow_i = mk_int(-1)
             size_i = ZERO
             # Select element i+k via an ite chain over the possible shifts,
-            # highest shift first so lower (more likely) shifts end up outermost.
-            for shift in range(self.capacity - i, -1, -1):
-                src = i + shift
-                src_flow = self.flows[src] if src < self.capacity else mk_int(-1)
-                src_size = self.sizes[src] if src < self.capacity else ZERO
+            # highest shift first so lower (more likely) shifts end up
+            # outermost.  Sources at hi and above are the empty constants,
+            # which the base case already is.
+            for shift in range(min(n, self.hi - 1 - i), -1, -1):
                 cond = mk_eq(k, mk_int(shift))
-                flow_i = gite(cond, src_flow, flow_i)
-                size_i = gite(cond, src_size, size_i)
-            new_flows.append(flow_i)
-            new_sizes.append(size_i)
-        self.flows = new_flows
-        self.sizes = new_sizes
+                flow_i = gite(cond, self.flows[i + shift], flow_i)
+                size_i = gite(cond, self.sizes[i + shift], size_i)
+            self.flows[i] = flow_i
+            self.sizes[i] = size_i
         self.length = self.length - k
 
-    def _take(self, k: Term, guard: Term) -> list[SymbolicPacket]:
+    def _take(self, k: Term, kmax: int, guard: Term) -> list[SymbolicPacket]:
+        """Dequeue the first ``k`` packets, where ``k <= kmax`` always."""
+        n = min(kmax, self.hi)
         taken = [
             SymbolicPacket(
                 flow=self.flows[j],
                 size=self.sizes[j],
                 present=mk_and(guard, mk_lt(mk_int(j), k)),
             )
-            for j in range(self.capacity)
+            for j in range(n)
         ]
         bytes_taken = mk_sum(
             [gite(p.present, p.size, ZERO) for p in taken]
         )
         actual_k = gite(guard, k, ZERO)
-        self._shift_out(actual_k)
+        self._shift_out(actual_k, n)
         self.stats.deq_p = self.stats.deq_p + actual_k
         self.stats.deq_b = self.stats.deq_b + bytes_taken
         return taken
@@ -300,11 +320,13 @@ class SymbolicListBuffer(SymbolicBufferModel):
         length = mk_int_var(f"{prefix}.len")
         bounds[length.name] = (0, self.capacity)
         self.length = length
+        self.hi = self.capacity
         self.stats = _havoc_stats(prefix, stat_bound, bounds)
 
     def dequeue_packets(self, count: Term, guard: Term) -> list[SymbolicPacket]:
         k = mk_min(mk_max(count, ZERO), self.length)
-        return self._take(k, guard)
+        kmax = max(count.value, 0) if count.is_const else self.hi
+        return self._take(k, kmax, guard)
 
     def dequeue_bytes(self, count: Term, guard: Term) -> list[SymbolicPacket]:
         # k = number of whole head packets whose cumulative size fits in count.
@@ -312,7 +334,7 @@ class SymbolicListBuffer(SymbolicBufferModel):
         prefix = ZERO
         k = ZERO
         fits_so_far = TRUE
-        for j in range(self.capacity):
+        for j in range(self.hi):
             prefix = prefix + gite(
                 mk_lt(mk_int(j), self.length), self.sizes[j], ZERO
             )
@@ -322,7 +344,7 @@ class SymbolicListBuffer(SymbolicBufferModel):
                 mk_le(prefix, budget),
             )
             k = k + mk_bool_to_int(fits_so_far)
-        return self._take(k, guard)
+        return self._take(k, self.hi, guard)
 
 
 def _havoc_stats(prefix: str, stat_bound: int,

@@ -478,6 +478,7 @@ def _copy_value(value: Value) -> Value:
         clone.elems = list(value.elems)
         clone.length = value.length
         clone.overflowed = value.overflowed
+        clone.hi = value.hi
         return clone
     return value  # terms are immutable; buffers are snapshotted via stats
 

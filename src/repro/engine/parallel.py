@@ -47,6 +47,7 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import random
+import signal
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -155,6 +156,10 @@ def _worker_telemetry_capture(enabled: bool):
     return blob
 
 
+#: How often an idle worker checks that its parent is still alive.
+_ORPHAN_POLL_SECONDS = 1.0
+
+
 def _portfolio_worker(task_queue, result_queue, cancel_cell,
                       heartbeat) -> None:
     """Worker loop: solve (CNF, config, assumptions) tasks until poisoned.
@@ -169,9 +174,25 @@ def _portfolio_worker(task_queue, result_queue, cancel_cell,
     None.  Live-progress samples travel on the same queue as
     ``("progress", task_id, sample)`` messages, re-emitted by the
     dispatching process's beacon.
+
+    A forked worker inherits its parent's signal handlers: under
+    ``repro serve`` that is asyncio's no-op SIGTERM handler, which would
+    swallow the pool's ``terminate()`` and leave the worker holding the
+    server's stdio open after it exits.  The worker restores SIGTERM's
+    default action and detaches from the parent's wakeup fd.  It also
+    exits on its own once idle and orphaned (a SIGKILLed parent never
+    closes its pool).
     """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=_ORPHAN_POLL_SECONDS)
+        except queue_mod.Empty:
+            if os.getppid() != parent:
+                return
+            continue
         if task is None:
             return
         (task_id, slot, attempt, num_vars, clauses, config_kwargs,

@@ -742,7 +742,11 @@ class SmtSolver:
                 "repro_incremental_clauses_reused_total", inc.loaded_clauses
             )
         try:
-            lits = inc.sync(self._stack, assumptions, self.simplify_terms)
+            with TRACER.span("bitblast", path="incremental",
+                             frames=len(self._stack)) as sp:
+                lits = inc.sync(self._stack, assumptions, self.simplify_terms)
+                sp.set("cnf_vars", inc.blaster.cnf.num_vars)
+                sp.set("cnf_clauses", len(inc.blaster.cnf.clauses))
         except BudgetExhausted as exc:
             return self._exhausted(
                 exc.report,

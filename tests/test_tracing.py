@@ -90,6 +90,33 @@ def _tree_names(nodes):
     return out
 
 
+# ----- solver: every check path encodes inside a span -----------------------
+
+
+class TestIncrementalEncodeSpan:
+    def test_incremental_check_records_bitblast_under_check(self):
+        from repro.smt.solver import CheckResult, SmtSolver
+        from repro.smt.terms import mk_bool_var, mk_not, mk_or
+
+        obs.enable()
+        x, y = mk_bool_var("inc.x"), mk_bool_var("inc.y")
+        solver = SmtSolver(incremental=True)
+        solver.add(mk_or(x, y))
+        assert solver.check() is CheckResult.SAT
+        solver.add(mk_not(x))
+        assert solver.check(mk_not(y)) is CheckResult.UNSAT
+
+        by_id = {r.span_id: r for r in TRACER.records}
+        encodes = [r for r in TRACER.records if r.name == "bitblast"]
+        assert len(encodes) == 2
+        for span in encodes:
+            assert span.attrs["path"] == "incremental"
+            assert span.attrs["cnf_clauses"] >= 1
+            parent = by_id[span.parent_id]
+            assert parent.name == "check"
+            assert parent.attrs["path"] == "incremental"
+
+
 # ----- serve: request path, trace + progress endpoints -----------------------
 
 
