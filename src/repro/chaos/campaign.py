@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -64,10 +62,8 @@ class ScheduledMonkey(ChaosMonkey):
     ``(kind, index)`` pair by counting consultations per kind.  In
     **record** mode nothing fires and the counters enumerate the fault
     universe; in **scheduled** mode consultation *i* of kind *k* fires
-    iff ``(k, i)`` is in the schedule.
-
-    Counters are lock-guarded: serve worker threads, router forward
-    threads, and lease heartbeats consult concurrently.
+    iff ``(k, i)`` is in the schedule.  Only the decision differs from
+    :class:`ChaosMonkey`: every hook, payload and log is inherited.
     """
 
     def __init__(self, schedule: Sequence[FaultPoint] = (), *,
@@ -79,20 +75,15 @@ class ScheduledMonkey(ChaosMonkey):
         self.record = record
         self.counts: dict[str, int] = {}
         self.fired: list[FaultPoint] = []
-        self._consult_lock = threading.Lock()
 
-    # ----- the one decision procedure ---------------------------------------
-
-    def _consult(self, kind: str) -> bool:
-        with self._consult_lock:
-            index = self.counts.get(kind, 0)
-            self.counts[kind] = index + 1
-            if self.record or (kind, index) not in self.schedule:
-                return False
-            self.fired.append((kind, index))
-            self.log.schedule.append(f"{kind}@{index}")
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_chaos_injected_total", kind=kind)
+    def _decide(self, kind: str) -> bool:
+        """Count the consultation (zero-rate kinds too) and fire iff
+        it is scheduled; called under the monkey's lock."""
+        index = self.counts.get(kind, 0)
+        self.counts[kind] = index + 1
+        if self.record or (kind, index) not in self.schedule:
+            return False
+        self.fired.append((kind, index))
         return True
 
     def scheduled_kinds(self) -> set[str]:
@@ -100,95 +91,6 @@ class ScheduledMonkey(ChaosMonkey):
 
     def has_kind(self, kind: str) -> bool:
         return any(k == kind for k, _ in self.schedule)
-
-    # ----- ChaosMonkey surface, counter-driven ------------------------------
-
-    def intercept(self) -> Optional[str]:
-        self.log.calls += 1
-        if self._consult("delay"):
-            self.log.delays += 1
-            time.sleep(self.config.delay_seconds)
-        if self._consult("fault"):
-            self.log.faults += 1
-            from ..runtime.chaos import InjectedFault
-            raise InjectedFault("scheduled solver fault")
-        if self._consult("unknown"):
-            self.log.unknowns += 1
-            return "unknown"
-        return None
-
-    def should_corrupt_proof(self) -> bool:
-        fired = self._consult("proof_corrupt")
-        if fired:
-            self.log.proofs_corrupted += 1
-        return fired
-
-    def maybe_io_error(self, where: str) -> None:
-        if self._consult("io_error"):
-            self.log.io_errors += 1
-            raise OSError(f"scheduled I/O error at {where}")
-
-    def should_kill_during_checkpoint(self) -> bool:
-        fired = self._consult("kill_checkpoint")
-        if fired:
-            self.log.checkpoint_kills += 1
-        return fired
-
-    def slow_client_delay(self) -> float:
-        if self._consult("slow_client"):
-            self.log.slow_clients += 1
-            return self.config.slow_client_seconds or 0.05
-        return 0.0
-
-    def should_kill_request_worker(self) -> bool:
-        fired = self._consult("request_kill")
-        if fired:
-            self.log.request_kills += 1
-        return fired
-
-    def should_kill_replica(self) -> bool:
-        fired = self._consult("replica_kill")
-        if fired:
-            self.log.replica_kills += 1
-        return fired
-
-    def should_flap_probe(self) -> bool:
-        fired = self._consult("probe_flap")
-        if fired:
-            self.log.probe_flaps += 1
-        return fired
-
-    def is_partitioned(self, link: str) -> bool:
-        with self._consult_lock:
-            active = self._partitions.get(link, 0)
-            if active > 0:
-                self._partitions[link] = active - 1
-                return True
-        if self._consult("partition"):
-            with self._consult_lock:
-                self._partitions[link] = max(
-                    0, self.config.partition_span - 1)
-            self.log.partitions += 1
-            return True
-        return False
-
-    def lease_skew(self) -> float:
-        if self._consult("lease_skew"):
-            self.log.lease_skews += 1
-            return self.config.lease_skew_seconds or 60.0
-        return 0.0
-
-    def corrupt_cache_text(self, text: str) -> str:
-        if self._consult("cache_corrupt"):
-            self.log.cache_corrupted += 1
-            return text[: len(text) // 2]
-        return text
-
-    def nemesis(self, kind: str) -> bool:
-        """Scenario-level nemesis points (``replica_down``,
-        ``torn_tail``, ``lease_takeover``) fire through the same
-        scheduled counters as the in-tree hooks."""
-        return self._consult(kind)
 
 
 # ----- campaign -------------------------------------------------------------

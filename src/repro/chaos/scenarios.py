@@ -33,7 +33,6 @@ randomness — only on the monkey's scheduled answers.
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -120,9 +119,9 @@ class BatchScenario(Scenario):
     JOBS = 4
 
     def extra_points(self):
-        # Worker crashes are injected *inside the worker pool* from the
-        # environment (they must survive fork/spawn), so the record run
-        # never consults them in-process.
+        # Worker crashes are decided *inside the worker pool* (they
+        # must survive fork/spawn), so the record run never consults
+        # them in-process.
         return [("worker_crash", 0)]
 
     def run(self, monkey, workdir: Path) -> ScenarioOutcome:
@@ -131,23 +130,16 @@ class BatchScenario(Scenario):
         spool = workdir / "spool"
         crash = hasattr(monkey, "has_kind") and monkey.has_kind(
             "worker_crash")
+        if crash:
+            # Reaches the pool as the solver's ``chaos=`` tuple.
+            monkey.config.worker_crash_rate = 1.0
         runner = BatchRunner(spool, max_attempts=3, backoff_base=0.01,
                              backoff_cap=0.05)
         try:
             runner.submit(
                 [(f"job{i}", variant(i)) for i in range(self.JOBS)],
                 steps=2)
-            old = os.environ.get("REPRO_CHAOS_WORKER_CRASH")
-            if crash:
-                os.environ["REPRO_CHAOS_WORKER_CRASH"] = "1.0"
-            try:
-                report = runner.run(jobs=2 if crash else None)
-            finally:
-                if crash:
-                    if old is None:
-                        os.environ.pop("REPRO_CHAOS_WORKER_CRASH", None)
-                    else:
-                        os.environ["REPRO_CHAOS_WORKER_CRASH"] = old
+            report = runner.run(jobs=2 if crash else None)
         finally:
             runner.close()
         answers = {

@@ -54,6 +54,7 @@ from .lang.interp import Interpreter
 from .lang.parser import parse_program
 from .lang.pretty import pretty_program
 from .runtime.budget import Budget
+from .runtime.chaos import chaos_from_env
 
 # Back-compat aliases: the canonical mapping lives on Verdict.exit_code.
 EXIT_PROVED = Verdict.PROVED.exit_code
@@ -260,19 +261,20 @@ def cmd_analyze(args) -> int:
     solver_config = _sat_config(args)  # before I/O: --solver-opt help exits
     with open(args.file) as handle:
         source = handle.read()
-    outcome = analyze(
-        source,
-        backend=args.backend,
-        steps=args.horizon,
-        budget=_budget_from(args),
-        jobs=args.jobs,
-        config=_config(args),
-        solver_config=solver_config,
-        consts=_parse_defines(args.define),
-        prove=args.prove,
-        certify=args.certify or None,
-        telemetry=_telemetry_wanted(args),
-    )
+    with chaos_from_env():
+        outcome = analyze(
+            source,
+            backend=args.backend,
+            steps=args.horizon,
+            budget=_budget_from(args),
+            jobs=args.jobs,
+            config=_config(args),
+            solver_config=solver_config,
+            consts=_parse_defines(args.define),
+            prove=args.prove,
+            certify=args.certify or None,
+            telemetry=_telemetry_wanted(args),
+        )
     print(outcome.describe())
     _export_telemetry(outcome.telemetry, args)
     return outcome.exit_code
@@ -306,19 +308,8 @@ def cmd_batch_submit(args) -> int:
     return 0
 
 
-def _batch_chaos():
-    """Env-driven chaos for CI smoke jobs: ``REPRO_CHAOS_IO_ERROR``,
-    ``REPRO_CHAOS_SLOW_CLIENT``, ``REPRO_CHAOS_REQUEST_KILL`` (each a
-    per-call probability) with optional ``REPRO_CHAOS_SEED``; a no-op
-    when every rate is unset.  (The worker-crash hook stays separate,
-    env-driven inside the portfolio pool.)"""
-    from .runtime.chaos import chaos_from_env
-
-    return chaos_from_env()
-
-
 def cmd_batch_run(args) -> int:
-    with _batch_chaos(), _batch_runner(args) as runner:
+    with chaos_from_env(), _batch_runner(args) as runner:
         try:
             report = runner.run(
                 resume=args.resume,
@@ -446,7 +437,7 @@ def cmd_serve(args) -> int:
     print(f"repro serve: listening on http://{args.host}:{args.port}"
           f" (spool: {args.spool}, queue limit {args.queue_limit},"
           f" {args.workers} workers)", file=sys.stderr, flush=True)
-    with _batch_chaos():
+    with chaos_from_env():
         try:
             summary = asyncio.run(server.serve_until_signalled())
         finally:
@@ -485,7 +476,6 @@ def _cmd_serve_router(args) -> int:
         probe_timeout=args.probe_timeout,
         forward_timeout=args.deadline * 2,
         route_deadline=args.route_deadline,
-        hedge_seconds=args.hedge,
         lease_ttl=args.lease_ttl,
         workers=max(2, args.workers),
         read_timeout=args.read_timeout,
@@ -497,7 +487,7 @@ def _cmd_serve_router(args) -> int:
           f" http://{args.host}:{args.port} routing {names}",
           file=sys.stderr, flush=True)
     service.start()
-    with _batch_chaos():
+    with chaos_from_env():
         try:
             summary = asyncio.run(server.serve_until_signalled())
         finally:
@@ -756,10 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--failure-threshold", type=int, default=3,
                    help="router: consecutive probe/forward failures that"
                         " eject a replica (default 3)")
-    p.add_argument("--hedge", type=float, default=None, metavar="SECONDS",
-                   help="router: hedge a second replica after this much"
-                        " silence (off by default; a hedged job may"
-                        " solve twice)")
     p.add_argument("--route-deadline", type=float, default=90.0,
                    metavar="SECONDS",
                    help="router: total wall budget for one request"

@@ -36,7 +36,9 @@ Design notes:
   in a row is *quarantined* — it resolves to a typed
   ``UNKNOWN(reason="quarantined")`` instead of hanging the run or
   crashing the pool.  The deterministic ``worker_crash`` chaos hook
-  (``REPRO_CHAOS_WORKER_CRASH``) exercises all of this in tests.
+  exercises all of this: the caller passes ``chaos=(rate, seed,
+  max_crashes)`` from its installed monkey's config; the pool itself
+  reads no chaos settings from the environment.
 """
 
 from __future__ import annotations
@@ -362,20 +364,6 @@ class PortfolioPool:
         self.queries_quarantined = 0
         self.last_respawned = 0
         self.last_quarantined = 0
-        # Pool-level chaos from the environment (CI smoke jobs):
-        # REPRO_CHAOS_WORKER_CRASH=<rate> with optional REPRO_CHAOS_SEED
-        # and REPRO_CHAOS_MAX_CRASHES (default: crash any query once).
-        self.worker_chaos: Optional[tuple] = None
-        try:
-            rate = float(os.environ.get("REPRO_CHAOS_WORKER_CRASH", "0"))
-            if rate > 0:
-                self.worker_chaos = (
-                    rate,
-                    int(os.environ.get("REPRO_CHAOS_SEED", "0")),
-                    int(os.environ.get("REPRO_CHAOS_MAX_CRASHES", "1")),
-                )
-        except ValueError:
-            self.worker_chaos = None
         for _ in range(self.jobs):
             self._spawn_worker()
 
@@ -561,8 +549,6 @@ class PortfolioPool:
         self._revive()
         if not self._workers:
             raise PoolUnavailable("no live workers")
-        if chaos is None:
-            chaos = self.worker_chaos
         self._task_id += 1
         task_id = self._task_id
         self.last_respawned = 0

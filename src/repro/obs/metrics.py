@@ -129,8 +129,6 @@ _HELP: dict[str, str] = {
     "repro_cluster_requests_total": "Requests received by the shard router.",
     "repro_cluster_failovers_total":
         "Forwards re-routed to the next ring node, by failed replica.",
-    "repro_cluster_hedges_total":
-        "Hedged second requests fired after hedge_seconds of silence.",
     "repro_cluster_probe_seconds": "Replica health-probe latency.",
     "repro_cluster_replica_state":
         "Replica health: 0 healthy, 1 probing, 2 ejected.",

@@ -92,7 +92,7 @@ class CheckpointStore:
                 fh.write(json.dumps(doc, sort_keys=True))
                 fh.flush()
                 os.fsync(fh.fileno())
-            if monkey is not None and monkey.should_kill_during_checkpoint():
+            if monkey is not None and monkey.fires("kill_checkpoint"):
                 self._kill_hook()
             os.replace(tmp, path)
         except OSError:

@@ -340,8 +340,6 @@ def tear_tail(path: Union[str, Path]) -> bool:
             os.fsync(fh.fileno())
     except OSError:
         return False
-    if METRICS.enabled:
-        METRICS.counter_inc("repro_chaos_injected_total", kind="torn_tail")
     return True
 
 

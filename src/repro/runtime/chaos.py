@@ -11,16 +11,27 @@ active, each ``check()`` may, with configured probabilities,
   isolate), or
 * sleep for a configured delay first (exercising deadlines).
 
+Every fault point in the tree — solver, cache, journal, lease, server,
+router — asks one question, :meth:`ChaosMonkey.fires`, about one
+*kind*.  The kinds are the ``<kind>_rate`` fields of
+:class:`ChaosConfig` (:data:`KINDS`); the same table drives
+``REPRO_CHAOS_*`` parsing (:func:`chaos_from_env`) and the campaign
+engine's fault universe, so a new nemesis is one ``ChaosConfig`` field
+plus the call site that consults it.
+
 Determinism: the monkey draws from one ``random.Random(seed)`` stream
-in call order, so a failing schedule replays exactly.
+in call order, and a zero-rate kind draws nothing, so a failing
+schedule replays exactly.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 from ..obs import METRICS
@@ -33,7 +44,11 @@ class InjectedFault(SolverFault):
 
 @dataclass
 class ChaosConfig:
-    """Per-call fault probabilities (each rolled independently)."""
+    """Per-call fault probabilities (each rolled independently).
+
+    Every ``<kind>_rate`` field makes ``<kind>`` a fault kind; the
+    other fields are the seed and the payloads some kinds carry.
+    """
 
     seed: int = 0
     unknown_rate: float = 0.0
@@ -81,29 +96,54 @@ class ChaosConfig:
     lease_skew_seconds: float = 60.0
 
 
-@dataclass
-class ChaosLog:
-    """What the monkey actually did, for test assertions."""
+#: The fault kinds :meth:`ChaosMonkey.fires` rolls dice for, one per
+#: ``<kind>_rate`` field.  Scenario-level nemeses (``replica_down``,
+#: ``torn_tail``) have no rate: only a scheduled monkey fires them.
+KINDS: tuple[str, ...] = tuple(
+    f.name[: -len("_rate")] for f in fields(ChaosConfig)
+    if f.name.endswith("_rate"))
 
-    calls: int = 0
-    unknowns: int = 0
-    faults: int = 0
-    delays: int = 0
-    proofs_corrupted: int = 0
-    cache_corrupted: int = 0
-    io_errors: int = 0
-    checkpoint_kills: int = 0
-    slow_clients: int = 0
-    request_kills: int = 0
-    replica_kills: int = 0
-    probe_flaps: int = 0
-    partitions: int = 0
-    lease_skews: int = 0
-    schedule: list[str] = field(default_factory=list)
+
+class ChaosLog(Counter):
+    """What the monkey actually did, for test assertions.
+
+    A ``Counter`` of fired faults keyed by kind (``log["io_error"]``),
+    plus ``calls`` (solver intercepts) and ``schedule``: every solver
+    intercept and fired fault in order, as ``ok``, ``kind`` or
+    ``kind:site``.
+    """
+
+    #: The per-kind attribute spellings (``log.io_errors``) → kind.
+    NAMES = {
+        "unknowns": "unknown",
+        "faults": "fault",
+        "delays": "delay",
+        "proofs_corrupted": "proof_corrupt",
+        "cache_corrupted": "cache_corrupt",
+        "io_errors": "io_error",
+        "checkpoint_kills": "kill_checkpoint",
+        "slow_clients": "slow_client",
+        "request_kills": "request_kill",
+        "replica_kills": "replica_kill",
+        "probe_flaps": "probe_flap",
+        "partitions": "partition",
+        "lease_skews": "lease_skew",
+    }
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+        self.schedule: list[str] = []
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            return self[ChaosLog.NAMES[name]]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 class ChaosMonkey:
-    """Decides, per solver call, which fault (if any) to inject."""
+    """Decides, per consultation, whether a fault of a kind fires."""
 
     def __init__(self, config: Optional[ChaosConfig] = None, **kwargs):
         self.config = config or ChaosConfig(**kwargs)
@@ -111,6 +151,37 @@ class ChaosMonkey:
         self.log = ChaosLog()
         #: link → remaining consultations this partition stays down.
         self._partitions: dict[str, int] = {}
+        # Serve workers, router forwards and lease heartbeats consult
+        # concurrently.
+        self._lock = threading.Lock()
+
+    # ----- the one decision primitive ---------------------------------------
+
+    def fires(self, kind: str, site: Optional[str] = None) -> bool:
+        """Should a ``kind`` fault fire at this consultation?
+
+        Owns all the bookkeeping: a fired fault is counted in the log,
+        appended to ``log.schedule`` (as ``kind:site`` when the caller
+        names a site) and to ``repro_chaos_injected_total{kind}``.
+        """
+        with self._lock:
+            if not self._decide(kind):
+                return False
+            self.log[kind] += 1
+            self.log.schedule.append(
+                kind if site is None else f"{kind}:{site}")
+        if METRICS.enabled:
+            METRICS.counter_inc("repro_chaos_injected_total", kind=kind)
+        return True
+
+    def _decide(self, kind: str) -> bool:
+        """Roll ``kind``'s die (called under the lock).  A zero-rate
+        kind draws nothing, which keeps every other kind's draws — and
+        so a seeded schedule — stable as kinds are added."""
+        rate = getattr(self.config, f"{kind}_rate", 0.0)
+        return bool(rate) and self._rng.random() < rate
+
+    # ----- hooks that carry a payload ---------------------------------------
 
     def intercept(self) -> Optional[str]:
         """Called by ``SmtSolver.check()`` on entry.
@@ -119,46 +190,20 @@ class ChaosMonkey:
         ``"unknown"`` when the call should answer UNKNOWN without
         solving, else None to proceed normally.
         """
-        cfg = self.config
-        self.log.calls += 1
-        if cfg.delay_rate and self._rng.random() < cfg.delay_rate:
-            self.log.delays += 1
-            self.log.schedule.append("delay")
-            if METRICS.enabled:
-                METRICS.counter_inc("repro_chaos_injected_total", kind="delay")
-            time.sleep(cfg.delay_seconds)
-        if cfg.fault_rate and self._rng.random() < cfg.fault_rate:
-            self.log.faults += 1
-            self.log.schedule.append("fault")
-            if METRICS.enabled:
-                METRICS.counter_inc("repro_chaos_injected_total", kind="fault")
+        with self._lock:
+            self.log.calls += 1
+            call = self.log.calls
+        if self.fires("delay"):
+            time.sleep(self.config.delay_seconds)
+        if self.fires("fault"):
             raise InjectedFault(
-                f"injected solver fault (call #{self.log.calls},"
-                f" seed {cfg.seed})"
+                f"injected solver fault (call #{call},"
+                f" seed {self.config.seed})"
             )
-        if cfg.unknown_rate and self._rng.random() < cfg.unknown_rate:
-            self.log.unknowns += 1
-            self.log.schedule.append("unknown")
-            if METRICS.enabled:
-                METRICS.counter_inc(
-                    "repro_chaos_injected_total", kind="unknown")
+        if self.fires("unknown"):
             return "unknown"
         self.log.schedule.append("ok")
         return None
-
-    def should_corrupt_proof(self) -> bool:
-        """Roll the proof-corruption die (zero-rate draws nothing)."""
-        cfg = self.config
-        if not cfg.proof_corrupt_rate:
-            return False
-        if self._rng.random() >= cfg.proof_corrupt_rate:
-            return False
-        self.log.proofs_corrupted += 1
-        self.log.schedule.append("proof_corrupt")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="proof_corrupt")
-        return True
 
     def corrupt_proof(self, cert) -> bool:
         """Maybe prepend a non-RUP step to a :class:`Certificate`.
@@ -168,10 +213,16 @@ class ChaosMonkey:
         checker has already derived the empty clause and accepts
         anything.
         """
-        if not self.should_corrupt_proof():
+        if not self.fires("proof_corrupt"):
             return False
         cert.steps.insert(0, ("a", (cert.num_vars + 1,)))
         return True
+
+    def corrupt_cache_text(self, text: str) -> str:
+        """Maybe truncate a cache entry's serialized form before write."""
+        if self.fires("cache_corrupt"):
+            return text[: len(text) // 2]
+        return text
 
     def maybe_io_error(self, where: str) -> None:
         """Maybe raise ``OSError`` at a persistence write site.
@@ -180,33 +231,11 @@ class ChaosMonkey:
         telemetry exporters) catch the error and degrade to a counted
         metric — this hook exists to prove they do.
         """
-        cfg = self.config
-        if not cfg.io_error_rate:
-            return
-        if self._rng.random() >= cfg.io_error_rate:
-            return
-        self.log.io_errors += 1
-        self.log.schedule.append(f"io_error:{where}")
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_chaos_injected_total", kind="io_error")
-        raise OSError(
-            f"injected I/O error at {where} (#{self.log.io_errors},"
-            f" seed {cfg.seed})"
-        )
-
-    def should_kill_during_checkpoint(self) -> bool:
-        """Roll the die for dying inside a checkpoint's torn-save window."""
-        cfg = self.config
-        if not cfg.kill_checkpoint_rate:
-            return False
-        if self._rng.random() >= cfg.kill_checkpoint_rate:
-            return False
-        self.log.checkpoint_kills += 1
-        self.log.schedule.append("kill_checkpoint")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="kill_checkpoint")
-        return True
+        if self.fires("io_error", where):
+            raise OSError(
+                f"injected I/O error at {where} (#{self.log['io_error']},"
+                f" seed {self.config.seed})"
+            )
 
     def slow_client_delay(self) -> float:
         """Seconds the server should stall reading this request (0 = none).
@@ -214,74 +243,21 @@ class ChaosMonkey:
         Returned, not slept, so the asyncio server can await it — the
         stall must block only the afflicted connection, never the loop.
         """
-        cfg = self.config
-        if not cfg.slow_client_rate:
-            return 0.0
-        if self._rng.random() >= cfg.slow_client_rate:
-            return 0.0
-        self.log.slow_clients += 1
-        self.log.schedule.append("slow_client")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="slow_client")
-        return cfg.slow_client_seconds
+        if self.fires("slow_client"):
+            return self.config.slow_client_seconds
+        return 0.0
 
-    def should_kill_request_worker(self) -> bool:
-        """Roll the die for a worker dying under an in-flight request.
+    def lease_skew(self) -> float:
+        """Seconds to backdate this lease write's heartbeat (0 = none).
 
-        The serve executor raises :class:`InjectedFault` when this
-        returns True — modelling a solve whose backing worker was lost
-        mid-request, the failure the circuit breaker exists to absorb.
+        Consulted by :class:`~repro.persist.batch.SpoolLease` on
+        acquire/renew: a skewed write makes a *live* owner look stale,
+        inviting a takeover while the owner still runs — exactly the
+        split-brain pressure per-write lease fencing must absorb.
         """
-        cfg = self.config
-        if not cfg.request_kill_rate:
-            return False
-        if self._rng.random() >= cfg.request_kill_rate:
-            return False
-        self.log.request_kills += 1
-        self.log.schedule.append("request_kill")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="request_kill")
-        return True
-
-    def should_kill_replica(self) -> bool:
-        """Roll the die for a forward hitting a dead replica.
-
-        The router treats True as a transport-level connection failure:
-        it must count the failure against the replica's health and fail
-        the request over to the next ring node.
-        """
-        cfg = self.config
-        if not cfg.replica_kill_rate:
-            return False
-        if self._rng.random() >= cfg.replica_kill_rate:
-            return False
-        self.log.replica_kills += 1
-        self.log.schedule.append("replica_kill")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="replica_kill")
-        return True
-
-    def should_flap_probe(self) -> bool:
-        """Roll the die for a health probe spuriously failing.
-
-        Exercises the registry's ejection/re-admission cycle — and the
-        lease guard: a flapped-out replica is *alive*, so its fresh
-        heartbeat must make the router's journal takeover refuse.
-        """
-        cfg = self.config
-        if not cfg.probe_flap_rate:
-            return False
-        if self._rng.random() >= cfg.probe_flap_rate:
-            return False
-        self.log.probe_flaps += 1
-        self.log.schedule.append("probe_flap")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="probe_flap")
-        return True
+        if self.fires("lease_skew"):
+            return self.config.lease_skew_seconds
+        return 0.0
 
     def is_partitioned(self, link: str) -> bool:
         """Roll (or continue) a network partition on a named link.
@@ -292,67 +268,30 @@ class ChaosMonkey:
         same link — modelling an outage that outlives one retry, which
         is what actually pressures failover and the lease arbiter.
         """
-        cfg = self.config
-        if not cfg.partition_rate:
+        with self._lock:
+            active = self._partitions.get(link, 0)
+            if active > 0:
+                self._partitions[link] = active - 1
+                return True
+        if not self.fires("partition", link):
             return False
-        active = self._partitions.get(link, 0)
-        if active > 0:
-            self._partitions[link] = active - 1
-            return True
-        if self._rng.random() >= cfg.partition_rate:
-            return False
-        self._partitions[link] = max(0, cfg.partition_span - 1)
-        self.log.partitions += 1
-        self.log.schedule.append(f"partition:{link}")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="partition")
+        with self._lock:
+            self._partitions[link] = max(0, self.config.partition_span - 1)
         return True
 
     def heal_partitions(self) -> None:
         """Forget every active partition span (the nemesis heal step)."""
-        self._partitions.clear()
-
-    def lease_skew(self) -> float:
-        """Seconds to backdate this lease write's heartbeat (0 = none).
-
-        Consulted by :class:`~repro.persist.batch.SpoolLease` on
-        acquire/renew: a skewed write makes a *live* owner look stale,
-        inviting a takeover while the owner still runs — exactly the
-        split-brain pressure per-write lease fencing must absorb.
-        """
-        cfg = self.config
-        if not cfg.lease_skew_rate:
-            return 0.0
-        if self._rng.random() >= cfg.lease_skew_rate:
-            return 0.0
-        self.log.lease_skews += 1
-        self.log.schedule.append("lease_skew")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="lease_skew")
-        return cfg.lease_skew_seconds
+        with self._lock:
+            self._partitions.clear()
 
     def nemesis(self, kind: str) -> bool:
         """Scenario-level nemesis consultation (``replica_down``,
-        ``torn_tail``...).  The base monkey never fires these — they
-        are decided by the campaign engine's scheduled subclass, which
-        overrides this to fire at enumerated fault points."""
-        return False
+        ``torn_tail``...).  These kinds have no rate, so only the
+        campaign engine's scheduled subclass ever fires them."""
+        return self.fires(kind)
 
-    def corrupt_cache_text(self, text: str) -> str:
-        """Maybe truncate a cache entry's serialized form before write."""
-        cfg = self.config
-        if not cfg.cache_corrupt_rate:
-            return text
-        if self._rng.random() >= cfg.cache_corrupt_rate:
-            return text
-        self.log.cache_corrupted += 1
-        self.log.schedule.append("cache_corrupt")
-        if METRICS.enabled:
-            METRICS.counter_inc(
-                "repro_chaos_injected_total", kind="cache_corrupt")
-        return text[: len(text) // 2]
+    def should_kill_replica(self) -> bool:
+        return self.fires("replica_kill")
 
 
 @contextmanager
@@ -407,39 +346,16 @@ def inject_faults(
             cls._chaos = prev
 
 
-#: ``REPRO_CHAOS_<suffix>`` → :class:`ChaosConfig` rate field.  Every
-#: in-process hook kind is settable from the environment; the mapping
-#: is also what :func:`chaos_from_env` validates unknown variables
-#: against.
+#: ``REPRO_CHAOS_<KIND>`` → the :class:`ChaosConfig` rate field it sets.
 ENV_RATE_KNOBS: dict[str, str] = {
-    "UNKNOWN": "unknown_rate",
-    "FAULT": "fault_rate",
-    "DELAY": "delay_rate",
-    "PROOF_CORRUPT": "proof_corrupt_rate",
-    "CACHE_CORRUPT": "cache_corrupt_rate",
-    "IO_ERROR": "io_error_rate",
-    "KILL_CHECKPOINT": "kill_checkpoint_rate",
-    "SLOW_CLIENT": "slow_client_rate",
-    "REQUEST_KILL": "request_kill_rate",
-    "REPLICA_KILL": "replica_kill_rate",
-    "PROBE_FLAP": "probe_flap_rate",
-    "PARTITION": "partition_rate",
-    "LEASE_SKEW": "lease_skew_rate",
-}
+    kind.upper(): f"{kind}_rate" for kind in KINDS}
 
-#: Recognized non-rate knobs (tuning values and cross-process hooks).
-#: ``WORKER_CRASH`` is read by the portfolio worker pool itself
-#: (:mod:`repro.engine.parallel`) — listed here so it never warns.
+#: ``REPRO_CHAOS_<FIELD>`` → every other field (the seed and payloads).
 ENV_OTHER_KNOBS: dict[str, str] = {
-    "SEED": "seed",
-    "DELAY_SECONDS": "delay_seconds",
-    "SLOW_CLIENT_SECONDS": "slow_client_seconds",
-    "PARTITION_SPAN": "partition_span",
-    "LEASE_SKEW_SECONDS": "lease_skew_seconds",
-    "WORKER_CRASH": "worker_crash_rate",
-    "WORKER_MAX_CRASHES": "worker_max_crashes",
-}
+    f.name.upper(): f.name for f in fields(ChaosConfig)
+    if not f.name.endswith("_rate")}
 
+_ENV_FIELDS = {**ENV_RATE_KNOBS, **ENV_OTHER_KNOBS}
 _ENV_PREFIX = "REPRO_CHAOS_"
 _warned_unknown_env = False
 
@@ -454,10 +370,7 @@ def _warn_unknown_chaos_env(unknown: list[str]) -> None:
     _warned_unknown_env = True
     import sys
 
-    valid = sorted(
-        _ENV_PREFIX + k
-        for k in (*ENV_RATE_KNOBS, *ENV_OTHER_KNOBS)
-    )
+    valid = sorted(_ENV_PREFIX + k for k in _ENV_FIELDS)
     print(
         f"warning: ignoring unknown chaos variable(s):"
         f" {', '.join(sorted(unknown))}\n"
@@ -469,16 +382,17 @@ def _warn_unknown_chaos_env(unknown: list[str]) -> None:
 def chaos_from_env(environ=None):
     """A chaos context built from ``REPRO_CHAOS_*`` (CI smoke harness).
 
-    Every per-call rate in :data:`ENV_RATE_KNOBS` is settable
-    (``REPRO_CHAOS_IO_ERROR=0.2`` …), plus the tuning knobs in
+    Every :class:`ChaosConfig` field is settable: each rate in
+    :data:`ENV_RATE_KNOBS` (``REPRO_CHAOS_IO_ERROR=0.2``,
+    ``REPRO_CHAOS_WORKER_CRASH=1`` …) and each knob in
     :data:`ENV_OTHER_KNOBS` (``REPRO_CHAOS_SEED``,
-    ``REPRO_CHAOS_PARTITION_SPAN``, …); with every rate unset or zero
-    this is a no-op ``nullcontext``.  ``repro batch run`` and ``repro
-    serve`` both enter it, so one environment variable puts an entire
-    CI leg under injected faults.  An unrecognized ``REPRO_CHAOS_*``
-    variable warns once and lists the valid knobs instead of silently
-    running fault-free.  (Portfolio worker crashes stay env-driven
-    inside the worker pool via ``REPRO_CHAOS_WORKER_CRASH``.)
+    ``REPRO_CHAOS_WORKER_MAX_CRASHES``, …); a malformed value keeps the
+    field's default.  With every rate unset or zero this is a no-op
+    ``nullcontext``.  ``repro analyze``, ``repro batch run`` and
+    ``repro serve`` all enter it, so one environment variable puts an
+    entire CI leg under injected faults.  An unrecognized
+    ``REPRO_CHAOS_*`` variable warns once and lists the valid knobs
+    instead of silently running fault-free.
     """
     import os
     from contextlib import nullcontext
@@ -488,30 +402,20 @@ def chaos_from_env(environ=None):
     unknown = [
         name for name in env
         if name.startswith(_ENV_PREFIX)
-        and name[len(_ENV_PREFIX):] not in ENV_RATE_KNOBS
-        and name[len(_ENV_PREFIX):] not in ENV_OTHER_KNOBS
+        and name[len(_ENV_PREFIX):] not in _ENV_FIELDS
     ]
     if unknown:
         _warn_unknown_chaos_env(unknown)
 
-    def value_of(name: str, cast, default):
+    config = ChaosConfig()
+    for suffix, name in _ENV_FIELDS.items():
         try:
-            return cast(env.get(_ENV_PREFIX + name, default))
-        except (TypeError, ValueError):
-            return cast(default)
-
-    kwargs = {}
-    for suffix, field_name in ENV_RATE_KNOBS.items():
-        rate = max(0.0, value_of(suffix, float, "0"))
-        if rate:
-            kwargs[field_name] = rate
-    if not kwargs:
+            value = type(getattr(config, name))(env[_ENV_PREFIX + suffix])
+        except (KeyError, ValueError):
+            continue  # unset or malformed: keep the default
+        if name.endswith("_rate"):
+            value = max(0.0, value)
+        setattr(config, name, value)
+    if not any(getattr(config, name) for name in ENV_RATE_KNOBS.values()):
         return nullcontext()
-    kwargs["seed"] = value_of("SEED", int, "0")
-    kwargs["delay_seconds"] = value_of("DELAY_SECONDS", float, "0.005")
-    kwargs["slow_client_seconds"] = value_of(
-        "SLOW_CLIENT_SECONDS", float, "0.05")
-    kwargs["partition_span"] = value_of("PARTITION_SPAN", int, "4")
-    kwargs["lease_skew_seconds"] = value_of(
-        "LEASE_SKEW_SECONDS", float, "60")
-    return inject_faults(**kwargs)
+    return inject_faults(config)

@@ -41,7 +41,6 @@ import asyncio
 import bisect
 import contextvars
 import hashlib
-import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -283,7 +282,7 @@ class ReplicaRegistry:
             replica.probes += 1
         chaos = self._chaos
         flapped = chaos is not None and (
-            chaos.should_flap_probe()
+            chaos.fires("probe_flap")
             or chaos.is_partitioned(f"router->{replica.name}"))
         try:
             if flapped:
@@ -410,11 +409,6 @@ class RouterConfig:
     # Forwarding.
     forward_timeout: float = 60.0
     route_deadline: float = 90.0   # total wall budget across failovers
-    # Hedging is off by default: a hedged solve *may* run twice on two
-    # replicas (first answer wins); both journal under the same
-    # idempotency key so the verdict is single, but the duplicate work
-    # is a real cost — opt in for latency-critical deployments.
-    hedge_seconds: Optional[float] = None
     # Journal handoff.
     handoff: bool = True
     lease_ttl: float = 10.0
@@ -481,7 +475,7 @@ class ClusterService:
         self.started_at = clock()
         self._counters_lock = threading.Lock()
         self.counters = {
-            "requests": 0, "routed": 0, "failovers": 0, "hedges": 0,
+            "requests": 0, "routed": 0, "failovers": 0,
             "no_replica": 0, "handoffs": 0, "handoff_jobs_adopted": 0,
             "handoff_jobs_resolved": 0, "handoff_refused": 0,
         }
@@ -596,24 +590,6 @@ class ClusterService:
         deadline = self._clock() + self.config.route_deadline
         failovers = 0
         last_doc: Optional[dict] = None
-        if self.config.hedge_seconds is not None and len(candidates) > 1:
-            result = self._forward_hedged(
-                candidates[0], candidates[1], spec, tenant, priority,
-                deadline)
-            if result is not None:
-                replica, status, doc, hedged = result
-                if status is not None and status not in FAILOVER_STATUSES:
-                    self._count("routed")
-                    doc["replica"] = replica.name
-                    if hedged:
-                        doc["hedged"] = True
-                    return status, doc
-                last_doc = doc
-            # Both raced replicas failed: continue the plain walk over
-            # the rest of the ring.
-            candidates = candidates[2:]
-            failovers += 2
-            self._count("failovers", 2)
         for replica in candidates:
             if self._clock() >= deadline:
                 break
@@ -651,56 +627,6 @@ class ClusterService:
             body["reason"] = last_doc["reason"]
         return 503, body
 
-    def _forward_hedged(
-        self, primary: Replica, secondary: Replica, spec: dict,
-        tenant: str, priority: Optional[int], deadline: float,
-    ) -> Optional[tuple[Replica, Optional[int], dict, bool]]:
-        """Race a second replica after ``hedge_seconds`` of silence
-        from the first; the first definitive answer wins.
-
-        Both submits carry the same content-addressed idempotency key,
-        so even if both replicas solve, each journals one verdict for
-        one job — the *response* is single either way.  The duplicate
-        solve is the documented cost of hedging (off by default).
-        """
-        answers: "queue.Queue" = queue.Queue()
-
-        def attempt(replica: Replica) -> None:
-            status, doc = self._forward_once(
-                replica, spec, tenant, priority, deadline)
-            answers.put((replica, status, doc))
-
-        threading.Thread(target=attempt, args=(primary,), daemon=True,
-                         name="repro-hedge-0").start()
-        collected = 0
-        last: Optional[tuple[Replica, Optional[int], dict]] = None
-        try:
-            item = answers.get(timeout=self.config.hedge_seconds)
-            collected += 1
-            if item[1] is not None and item[1] not in FAILOVER_STATUSES:
-                return item[0], item[1], item[2], False
-            last = item
-        except queue.Empty:
-            pass
-        self._count("hedges")
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_cluster_hedges_total")
-        threading.Thread(target=attempt, args=(secondary,), daemon=True,
-                         name="repro-hedge-1").start()
-        while collected < 2:
-            try:
-                item = answers.get(
-                    timeout=max(0.1, deadline - self._clock()))
-            except queue.Empty:
-                break
-            collected += 1
-            if item[1] is not None and item[1] not in FAILOVER_STATUSES:
-                return item[0], item[1], item[2], True
-            last = item
-        if last is None:
-            return None
-        return last[0], last[1], last[2], True
-
     def _forward_once(
         self, replica: Replica, spec: dict, tenant: str,
         priority: Optional[int], deadline: float,
@@ -708,7 +634,7 @@ class ClusterService:
         """One forward attempt.  ``(None, doc)`` means transport-level
         failure (dead replica): the caller fails over."""
         chaos = self._chaos
-        if chaos is not None and chaos.should_kill_replica():
+        if chaos is not None and chaos.fires("replica_kill"):
             self.registry.note_failure(replica)
             return None, {"error": f"injected replica kill {replica.name}"}
         if chaos is not None and chaos.is_partitioned(

@@ -512,7 +512,7 @@ class AnalysisService:
     def _solve(self, rec: JobRecord, budget: Optional[Budget],
                escalation) -> AnalysisOutcome:
         chaos = self._chaos
-        if chaos is not None and chaos.should_kill_request_worker():
+        if chaos is not None and chaos.fires("request_kill"):
             raise InjectedFault(
                 f"injected worker kill under request {rec.job_id[:12]}"
             )

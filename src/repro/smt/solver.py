@@ -818,7 +818,7 @@ class SmtSolver:
         is discarded so the next certification rebuilds from scratch.
         """
         monkey = self._chaos
-        corrupt = monkey is not None and monkey.should_corrupt_proof()
+        corrupt = monkey is not None and monkey.fires("proof_corrupt")
         clauses = inc.blaster.cnf.clauses
         steps = inc.proof.steps if inc.proof is not None else []
         error: Optional[str] = None

@@ -459,30 +459,6 @@ def test_router_fails_over_to_next_ring_node(tmp_path):
         srv1.stop_background()
 
 
-def test_router_hedges_after_silence(tmp_path):
-    """With hedging on, a dead primary costs one hedge timeout, not a
-    full failover walk; the response is marked ``hedged``."""
-    s1, srv1, rep1 = _start_replica(tmp_path, "r1")
-    dead_port = _free_port()
-    dead = Replica(name=f"127.0.0.1:{dead_port}", host="127.0.0.1",
-                   port=dead_port)
-    router = _router([dead, rep1], hedge_seconds=0.05)
-    router_server = ReproServer(router)
-    router_server.start_background()
-    try:
-        payload = _spec_with_primary(router.registry, dead.name)
-        client = ServiceClient(port=router_server.port, timeout=30.0)
-        doc = client.analyze(payload["source"], steps=3, retry=False)
-        assert doc["status"] == 200 and doc["verdict"] == "proved", doc
-        assert doc["replica"] == rep1.name
-        info = client.cluster()
-        assert info["counters"]["hedges"] >= 1
-    finally:
-        router_server.stop_background(drain=False)
-        router.close()
-        srv1.stop_background()
-
-
 def test_replica_kill_chaos_exhausts_the_ring(tmp_path):
     """``replica_kill`` chaos turns every forward into a dead
     connection: the router walks the whole ring, then answers an
