@@ -49,6 +49,8 @@ key=value`` are coerced; see ``CDCLConfig.option_names()``)::
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 from typing import Any, Optional
 
 from ..runtime.budget import Budget, BudgetExhausted
@@ -85,35 +87,47 @@ def analyze(
     workers) and attaches the resulting
     :class:`~repro.obs.TelemetrySnapshot` as ``outcome.telemetry``.
     """
-    if not telemetry:
-        return _analyze(
-            program, query, backend=backend, steps=steps, budget=budget,
-            jobs=jobs, cache=cache, incremental=incremental, chaos=chaos,
-            solver_factory=solver_factory, escalation=escalation,
-            config=config, sat_config=sat_config,
-            solver_config=solver_config, consts=consts,
-            prove=prove, certify=certify,
+    with _recording(telemetry, backend=backend, steps=steps):
+        if backend not in _BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+            )
+        if isinstance(program, str):
+            from ..lang.checker import check_program
+            from ..lang.parser import parse_program
+
+            program = check_program(parse_program(program, consts=consts))
+        knobs = dict(
+            config=config,
+            sat_config=resolve_solver_config(sat_config, solver_config),
+            budget=budget, escalation=escalation, chaos=chaos,
+            solver_factory=solver_factory, jobs=jobs, cache=cache,
+            incremental=incremental, certify=certify,
         )
+        outcome = _run(backend, program, query, steps, prove, knobs)
+    if telemetry:
+        from .. import obs
 
-    import dataclasses
+        outcome = dataclasses.replace(outcome, telemetry=obs.capture())
+    return outcome
 
+
+@contextlib.contextmanager
+def _recording(telemetry: bool, **span_attrs: Any):
+    """With ``telemetry``, record into a fresh :mod:`repro.obs` under one
+    ``analyze`` span; otherwise do nothing."""
+    if not telemetry:
+        yield
+        return
     from .. import obs
 
     obs.reset()
     obs.enable()
     try:
-        with obs.TRACER.span("analyze", backend=backend, steps=steps):
-            outcome = _analyze(
-                program, query, backend=backend, steps=steps, budget=budget,
-                jobs=jobs, cache=cache, incremental=incremental, chaos=chaos,
-                solver_factory=solver_factory, escalation=escalation,
-                config=config, sat_config=sat_config,
-                solver_config=solver_config, consts=consts,
-                prove=prove, certify=certify,
-            )
+        with obs.TRACER.span("analyze", **span_attrs):
+            yield
     finally:
         obs.disable()
-    return dataclasses.replace(outcome, telemetry=obs.capture())
 
 
 def analyze_many(programs, **kwargs) -> "list[AnalysisOutcome]":
@@ -150,44 +164,9 @@ def resolve_solver_config(sat_config: Any, solver_config: Any) -> Any:
     return CDCLConfig.from_options(solver_config, base=sat_config)
 
 
-def _analyze(
-    program: Any,
-    query: Any = None,
-    *,
-    backend: str = "smt",
-    steps: int = 6,
-    budget: Optional[Budget] = None,
-    jobs: Optional[int] = None,
-    cache: Any = None,
-    incremental: Optional[bool] = None,
-    chaos: Any = None,
-    solver_factory: Any = None,
-    escalation: Any = None,
-    config: Any = None,
-    sat_config: Any = None,
-    solver_config: Any = None,
-    consts: Optional[dict[str, int]] = None,
-    prove: bool = False,
-    certify: Optional[bool] = None,
-) -> AnalysisOutcome:
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    if isinstance(program, str):
-        from ..lang.checker import check_program
-        from ..lang.parser import parse_program
-
-        program = check_program(parse_program(program, consts=consts))
-
-    sat_config = resolve_solver_config(sat_config, solver_config)
-    knobs = dict(
-        config=config, sat_config=sat_config, budget=budget,
-        escalation=escalation, chaos=chaos, solver_factory=solver_factory,
-        jobs=jobs, cache=cache, incremental=incremental,
-        certify=certify,
-    )
-
+def _run(backend: str, program: Any, query: Any, steps: int, prove: bool,
+         knobs: dict[str, Any]) -> AnalysisOutcome:
+    """Build the chosen back end with ``knobs`` and answer ``query``."""
     if backend == "smt":
         from ..backends.smt_backend import SmtBackend
 

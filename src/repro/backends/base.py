@@ -1,17 +1,14 @@
 """Shared constructor convention and solver plumbing for back ends.
 
-Every back end historically grew its own constructor (``checked`` vs
-``programs``, ``horizon`` vs per-call ``steps``) and its own inline
-``SmtSolver(...)`` wiring.  :class:`AnalysisBackend` normalizes both:
+:class:`AnalysisBackend` gives every back end:
 
 * one keyword signature — ``(program, steps, *, budget=None,
-  chaos=None, solver_factory=None, ...)`` — with thin shims so the
-  legacy ``checked=`` / ``horizon=`` spellings keep working;
+  chaos=None, solver_factory=None, ...)``;
 * one :meth:`_new_solver` factory that threads the engine knobs
-  (``jobs`` for the parallel portfolio, ``cache`` for the result
-  cache, ``incremental`` for push/pop CNF reuse) plus backend-scoped
-  chaos injection and a caller-supplied ``solver_factory`` override
-  into every solver the back end builds.
+  (``jobs``/``cache``/``certify``, resolved once at construction into
+  :attr:`options`, and ``incremental`` for push/pop CNF reuse) plus
+  backend-scoped chaos injection and a caller-supplied
+  ``solver_factory`` override into every solver the back end builds.
 
 The back ends stay thin: they describe *what* to solve; the engine
 underneath (:mod:`repro.engine`) decides *how*.
@@ -19,9 +16,9 @@ underneath (:mod:`repro.engine`) decides *how*.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
+from ..engine.options import EngineOptions
 from ..runtime.budget import Budget
 from ..runtime.chaos import ChaosConfig, ChaosMonkey
 from ..smt.solver import SmtSolver
@@ -29,46 +26,6 @@ from ..smt.solver import SmtSolver
 if TYPE_CHECKING:
     from ..compiler.symexec import SymbolicMachine
     from ..engine.cache import ResultCache
-
-
-def resolve_legacy_names(
-    program: Any,
-    steps: Optional[int],
-    checked: Any,
-    horizon: Optional[int],
-    owner: str,
-) -> tuple[Any, Optional[int]]:
-    """Merge the normalized (``program``/``steps``) and legacy
-    (``checked``/``horizon``) constructor spellings.
-
-    Either spelling may be used, not both.  The legacy keywords emit a
-    :class:`DeprecationWarning` and will be removed one release after
-    the normalized surface shipped (see DESIGN.md, "Constructor
-    normalization").
-    """
-    if checked is not None:
-        if program is not None:
-            raise TypeError(
-                f"{owner}: pass either 'program' or legacy 'checked', not both"
-            )
-        warnings.warn(
-            f"{owner}: the 'checked=' keyword is deprecated; "
-            "pass 'program=' (or positionally) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-        program = checked
-    if horizon is not None:
-        if steps is not None:
-            raise TypeError(
-                f"{owner}: pass either 'steps' or legacy 'horizon', not both"
-            )
-        warnings.warn(
-            f"{owner}: the 'horizon=' keyword is deprecated; "
-            "pass 'steps=' instead",
-            DeprecationWarning, stacklevel=3,
-        )
-        steps = horizon
-    return program, steps
 
 
 class AnalysisBackend:
@@ -111,30 +68,9 @@ class AnalysisBackend:
             chaos = ChaosMonkey(chaos)
         self.chaos = chaos
         self.solver_factory = solver_factory
-        self.jobs = jobs
-        self.cache = cache
         self.incremental = incremental
-        self.certify = certify
-
-    # ``checked`` stays readable/writable for one release (legacy
-    # attribute alias of ``program``); both directions warn.
-    @property
-    def checked(self) -> Any:
-        warnings.warn(
-            f"{type(self).__name__}.checked is deprecated; "
-            "use .program instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.program
-
-    @checked.setter
-    def checked(self, value: Any) -> None:
-        warnings.warn(
-            f"{type(self).__name__}.checked is deprecated; "
-            "use .program instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        self.program = value
+        self.options = EngineOptions.resolve(
+            jobs=jobs, cache=cache, certify=certify)
 
     # ----- engine-aware solver construction ---------------------------------
 
@@ -152,14 +88,6 @@ class AnalysisBackend:
             return self._default_incremental()
         return self.incremental
 
-    def _effective_certify(self) -> bool:
-        """Whether this back end's UNSAT answers must carry checked proofs."""
-        if self.certify is None:
-            from ..trust import certify_default
-
-            return certify_default()
-        return self.certify
-
     def _new_solver(self, **overrides) -> SmtSolver:
         """Build one solver with the back end's knobs threaded through."""
         kwargs: dict[str, Any] = dict(
@@ -167,10 +95,8 @@ class AnalysisBackend:
             validate_models=self.validate_models,
             budget=self.budget,
             escalation=self.escalation,
-            parallelism=self.jobs,
-            cache=self.cache,
             incremental=self._incremental(),
-            certify=self.certify,
+            options=self.options,
         )
         kwargs.update(overrides)
         factory = self.solver_factory or SmtSolver

@@ -46,7 +46,7 @@ from ..runtime.budget import (
 from ..smt.sat.cdcl import CDCLConfig, SatResult
 from ..smt.solver import CheckResult, SmtSolver, governed_check
 from ..smt.terms import TRUE, Term, mk_and, mk_not
-from .base import AnalysisBackend, resolve_legacy_names
+from .base import AnalysisBackend
 
 
 class VCStatus(enum.Enum):
@@ -167,13 +167,12 @@ class DafnyBackend(AnalysisBackend):
     """Annotation-checker verification of a Buffy program.
 
     Normalized constructor: ``DafnyBackend(program, *, budget=...,
-    chaos=..., solver_factory=..., jobs=..., cache=...)``; the legacy
-    ``checked=`` keyword remains for one release and emits a
-    ``DeprecationWarning``.  All VCs sharing one
-    symbolic machine are discharged against **one** incremental solver
-    (the machine is bit-blasted once, each negated goal rides as a
-    check-time assumption), and with ``jobs > 1`` independent VCs of a
-    machine are additionally farmed out across the worker pool.
+    chaos=..., solver_factory=..., jobs=..., cache=...)``.  All VCs
+    sharing one symbolic machine are discharged against **one**
+    incremental solver (the machine is bit-blasted once, each negated
+    goal rides as a check-time assumption), and with ``jobs > 1``
+    independent VCs of a machine are additionally farmed out across the
+    worker pool.
     """
 
     def __init__(
@@ -191,10 +190,7 @@ class DafnyBackend(AnalysisBackend):
         cache=None,
         incremental: Optional[bool] = None,
         certify: Optional[bool] = None,
-        checked: Optional[CheckedProgram] = None,
     ):
-        program, _ = resolve_legacy_names(program, None, checked, None,
-                                          "DafnyBackend")
         if program is None:
             raise TypeError("DafnyBackend requires a program")
         super().__init__(
@@ -263,7 +259,7 @@ class DafnyBackend(AnalysisBackend):
         named_goals = list(named_goals)
         if not named_goals:
             return []
-        jobs = self._effective_jobs()
+        jobs = self.options.jobs
         if (
             len(named_goals) > 1 and jobs > 1
             and self.solver_factory is None and not self._chaos_active()
@@ -275,13 +271,6 @@ class DafnyBackend(AnalysisBackend):
         return [
             self._discharge(name, solver, goal) for name, goal in named_goals
         ]
-
-    def _effective_jobs(self) -> int:
-        if self.jobs is not None:
-            return max(1, self.jobs)
-        from ..engine.parallel import default_jobs
-
-        return default_jobs()
 
     def _discharge_parallel(
         self, machine: SymbolicMachine,
@@ -295,11 +284,7 @@ class DafnyBackend(AnalysisBackend):
         falls back to the shared sequential path) when the pool is
         unavailable or a model fails validation.
         """
-        from ..engine.cache import (
-            CacheEntry,
-            formula_fingerprint,
-            resolve_cache,
-        )
+        from ..engine.cache import CacheEntry, formula_fingerprint
         from ..engine.parallel import PoolUnavailable, get_pool
         from ..smt.bitblast import BitBlaster
         from ..smt.intervals import BoundsEnv
@@ -309,8 +294,8 @@ class DafnyBackend(AnalysisBackend):
         bounds = BoundsEnv()
         for var, (lo, hi) in machine.bounds.items():
             bounds.set(var, lo, hi)
-        cache = resolve_cache(self.cache)
-        certify = self._effective_certify()
+        cache = self.options.cache
+        certify = self.options.certify
         keys: list[Optional[str]] = [None] * len(named_goals)
         done: dict[int, VCResult] = {}
         if cache is not None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -41,7 +40,6 @@ from ..analysis.workloads import (
     Workload,
     exact_characterization,
 )
-from ..backends.base import resolve_legacy_names
 from ..backends.smt_backend import SmtBackend, Status
 from ..buffers.packets import Packet
 from ..compiler.symexec import EncodeConfig
@@ -128,12 +126,8 @@ class FPerfBackend:
         cache=None,
         incremental: Optional[bool] = None,
         certify: Optional[bool] = None,
-        checked: Optional[CheckedProgram] = None,
-        horizon: Optional[int] = None,
     ):
         self.budget = budget
-        program, steps = resolve_legacy_names(program, steps, checked,
-                                              horizon, "FPerfBackend")
         self.backend = SmtBackend(
             program, steps, config=config, sat_config=sat_config,
             validate_models=validate_models, budget=budget,
@@ -148,15 +142,6 @@ class FPerfBackend:
         self.labels = self.machine.input_buffer_labels()
         # Report from the most recent UNKNOWN solver answer (if any).
         self._last_report: Optional[ResourceReport] = None
-
-    # Legacy attribute alias (one release of compatibility).
-    @property
-    def checked(self) -> CheckedProgram:
-        warnings.warn(
-            "FPerfBackend.checked is deprecated; use .program instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.program
 
     # ----- budget plumbing ------------------------------------------------------
 

@@ -46,7 +46,7 @@ from ..runtime.budget import (
 from ..smt.sat.cdcl import CDCLConfig
 from ..smt.solver import CheckResult, SmtSolver, governed_check
 from ..smt.terms import Term, evaluate, free_vars, mk_and, mk_int, mk_le, mk_not
-from .base import AnalysisBackend, resolve_legacy_names
+from .base import AnalysisBackend
 from .dafny import StateView
 
 
@@ -186,12 +186,11 @@ class HoudiniSynthesizer(AnalysisBackend):
     """Infers the maximal inductive subset of candidate invariants.
 
     Normalized constructor: ``HoudiniSynthesizer(program, *,
-    budget=..., chaos=..., solver_factory=..., jobs=..., cache=...)``;
-    the legacy ``checked=`` keyword remains as a shim.  Every Houdini
-    round re-queries the *same* one-step transition system, so by
-    default all rounds share one incremental solver: the machine is
-    bit-blasted once and each round's candidate conjunction rides as
-    check-time assumptions.
+    budget=..., chaos=..., solver_factory=..., jobs=..., cache=...)``.
+    Every Houdini round re-queries the *same* one-step transition
+    system, so by default all rounds share one incremental solver: the
+    machine is bit-blasted once and each round's candidate conjunction
+    rides as check-time assumptions.
     """
 
     def __init__(
@@ -211,10 +210,7 @@ class HoudiniSynthesizer(AnalysisBackend):
         cache=None,
         incremental: Optional[bool] = None,
         certify: Optional[bool] = None,
-        checked: Optional[CheckedProgram] = None,
     ):
-        program, _ = resolve_legacy_names(program, None, checked, None,
-                                          "HoudiniSynthesizer")
         if program is None:
             raise TypeError("HoudiniSynthesizer requires a program")
         super().__init__(

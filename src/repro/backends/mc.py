@@ -39,7 +39,7 @@ from ..smt.sat.cdcl import CDCLConfig
 from ..smt.smtlib import term_to_smtlib
 from ..smt.solver import CheckResult, SmtSolver, governed_check
 from ..smt.terms import Term, free_vars, mk_and, mk_not
-from .base import AnalysisBackend, resolve_legacy_names
+from .base import AnalysisBackend
 
 Property = Callable[[StateView], Term]
 
@@ -123,10 +123,9 @@ class ModelChecker(AnalysisBackend):
     """BMC and k-induction for a Buffy program's step transition system.
 
     Normalized constructor: ``ModelChecker(program, *, budget=...,
-    chaos=..., solver_factory=..., jobs=..., cache=...)``; the legacy
-    ``checked=`` keyword remains as a shim.  BMC shares one incremental
-    solver across depths by default (the unrolling is encoded once,
-    growing step by step).
+    chaos=..., solver_factory=..., jobs=..., cache=...)``.  BMC shares
+    one incremental solver across depths by default (the unrolling is
+    encoded once, growing step by step).
     """
 
     def __init__(
@@ -146,10 +145,7 @@ class ModelChecker(AnalysisBackend):
         cache=None,
         incremental: Optional[bool] = None,
         certify: Optional[bool] = None,
-        checked: Optional[CheckedProgram] = None,
     ):
-        program, _ = resolve_legacy_names(program, None, checked, None,
-                                          "ModelChecker")
         if program is None:
             raise TypeError("ModelChecker requires a program")
         super().__init__(

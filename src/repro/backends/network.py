@@ -20,7 +20,7 @@ from ..smt.model import Model
 from ..smt.sat.cdcl import CDCLConfig
 from ..smt.solver import CheckResult, SmtSolver, governed_check
 from ..smt.terms import Term, mk_not, mk_or
-from .base import AnalysisBackend, resolve_legacy_names
+from .base import AnalysisBackend
 from .smt_backend import CounterexampleTrace, Status, VerificationResult
 
 
@@ -29,8 +29,7 @@ class NetworkBackend(AnalysisBackend):
 
     Carries the same normalized keyword tail as the other back ends
     (``budget`` / ``chaos`` / ``solver_factory`` / ``jobs`` / ``cache``
-    / ``incremental``); the legacy ``horizon=`` keyword remains for
-    one release and emits a ``DeprecationWarning``.
+    / ``incremental``).
     """
 
     def __init__(
@@ -50,10 +49,7 @@ class NetworkBackend(AnalysisBackend):
         jobs: Optional[int] = None,
         cache=None,
         incremental: Optional[bool] = None,
-        horizon: Optional[int] = None,
     ):
-        _, steps = resolve_legacy_names(None, steps, None, horizon,
-                                        "NetworkBackend")
         if steps is None or steps <= 0:
             raise ValueError("horizon must be positive")
         super().__init__(

@@ -34,7 +34,7 @@ from ..smt.model import Model
 from ..smt.sat.cdcl import CDCLConfig
 from ..smt.solver import CheckResult, SmtSolver, SolverStats, governed_check
 from ..smt.terms import TRUE, Term, mk_and, mk_not, mk_or
-from .base import AnalysisBackend, resolve_legacy_names
+from .base import AnalysisBackend
 
 
 class Status(enum.Enum):
@@ -136,11 +136,10 @@ class SmtBackend(AnalysisBackend):
 
     Normalized constructor: ``SmtBackend(program, steps, *, budget=...,
     chaos=..., solver_factory=..., jobs=..., cache=..., incremental=...)``.
-    The legacy ``checked=`` / ``horizon=`` keyword spellings remain as
-    deprecated shims.  With ``incremental=True`` one solver (and one
-    bit-blasted encoding of the unrolled machine) is shared across all
-    queries; each query's formulas are passed as check-time assumptions
-    so the shared encoding is never polluted.
+    With ``incremental=True`` one solver (and one bit-blasted encoding of
+    the unrolled machine) is shared across all queries; each query's
+    formulas are passed as check-time assumptions so the shared encoding
+    is never polluted.
     """
 
     def __init__(
@@ -159,12 +158,7 @@ class SmtBackend(AnalysisBackend):
         cache=None,
         incremental: Optional[bool] = None,
         certify: Optional[bool] = None,
-        checked: Optional[CheckedProgram] = None,
-        horizon: Optional[int] = None,
     ):
-        program, steps = resolve_legacy_names(
-            program, steps, checked, horizon, "SmtBackend"
-        )
         if program is None or steps is None:
             raise TypeError("SmtBackend requires a program and a horizon")
         if steps <= 0:

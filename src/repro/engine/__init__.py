@@ -2,23 +2,23 @@
 
 Everything here sits *under* the :class:`repro.smt.solver.SmtSolver`
 facade — callers keep the assert/check/model interface and opt into the
-engine through ``SmtSolver(parallelism=..., cache=..., incremental=...)``
-or the backend/CLI ``jobs`` knobs.
+engine through ``SmtSolver(options=EngineOptions(jobs=..., cache=...))``,
+``SmtSolver(incremental=True)`` or the backend/CLI ``jobs`` knobs.
+:meth:`EngineOptions.resolve` is the one place the ``REPRO_*`` engine
+variables are read.
 """
 
 from .cache import (
     CacheEntry,
     CacheStats,
     ResultCache,
-    default_cache,
     formula_fingerprint,
-    resolve_cache,
 )
+from .options import EngineOptions
 from .parallel import (
     PoolUnavailable,
     PortfolioPool,
     SlotResult,
-    default_jobs,
     get_pool,
     shutdown_pool,
 )
@@ -26,14 +26,12 @@ from .parallel import (
 __all__ = [
     "CacheEntry",
     "CacheStats",
+    "EngineOptions",
     "ResultCache",
-    "default_cache",
     "formula_fingerprint",
-    "resolve_cache",
     "PoolUnavailable",
     "PortfolioPool",
     "SlotResult",
-    "default_jobs",
     "get_pool",
     "shutdown_pool",
 ]

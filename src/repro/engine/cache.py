@@ -275,45 +275,3 @@ class ResultCache:
 
 
 DEFAULT_DISK_DIR = Path.home() / ".cache" / "repro"
-
-_default_cache: Optional[ResultCache] = None
-_default_key: Optional[tuple] = None
-
-
-def resolve_cache(setting) -> Optional[ResultCache]:
-    """Map a cache knob (None / bool / ResultCache) to an effective cache.
-
-    ``False`` disables caching outright; ``None``/``True`` defer to the
-    environment-configured :func:`default_cache`; a :class:`ResultCache`
-    instance is used as-is.
-    """
-    if setting is False:
-        return None
-    if setting is None or setting is True:
-        return default_cache()
-    return setting
-
-
-def default_cache() -> Optional[ResultCache]:
-    """The process-wide cache configured by environment variables.
-
-    Caching is opt-in: ``REPRO_CACHE=1`` enables a process-wide
-    in-memory LRU, ``REPRO_CACHE=disk`` additionally persists under
-    ``~/.cache/repro``, and ``REPRO_CACHE_DIR=DIR`` persists under DIR.
-    With none of these set (or ``REPRO_CACHE=0``) there is no ambient
-    cache — solvers only cache when handed one explicitly.
-    """
-    global _default_cache, _default_key
-    mode = os.environ.get("REPRO_CACHE", "").strip().lower()
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    key = (mode, cache_dir)
-    if key == _default_key:
-        return _default_cache
-    if mode in ("", "0", "off", "none", "false") and not cache_dir:
-        _default_cache, _default_key = None, key
-        return None
-    disk: Optional[Path] = Path(cache_dir) if cache_dir else None
-    if disk is None and mode == "disk":
-        disk = DEFAULT_DISK_DIR
-    _default_cache, _default_key = ResultCache(disk_dir=disk), key
-    return _default_cache

@@ -61,14 +61,6 @@ from ..smt.sat.cdcl import CDCLConfig, CDCLSolver, SatResult, SatStats
 from ..trust.proof import ProofLog
 
 
-def default_jobs() -> int:
-    """Parallelism from the ``REPRO_JOBS`` environment variable (>= 1)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 class _WorkerBudget(Budget):
     """A worker-side budget that also honors the shared cancel generation.
 

@@ -22,7 +22,7 @@ from .batch import (
     analyze_many,
     job_id_for,
 )
-from .checkpoint import CheckpointStore, cnf_fingerprint, resolve_checkpoints
+from .checkpoint import CheckpointStore, cnf_fingerprint
 from .journal import (
     Journal,
     canonical_json,
@@ -47,6 +47,5 @@ __all__ = [
     "job_id_for",
     "load_snapshot",
     "payload_checksum",
-    "resolve_checkpoints",
     "write_snapshot",
 ]

@@ -7,14 +7,15 @@ keyed by a **CNF fingerprint** (sha256 over the clause list): learned
 clauses are only sound relative to the formula they were derived from,
 so a checkpoint can never be applied to a different query.
 
-:class:`SmtSolver` consults a store (``checkpoints=`` or
-``REPRO_CHECKPOINT_DIR``) on the sequential solve path: a budget- or
-conflict-cap-exhausted UNKNOWN saves a checkpoint; the next check of
-the same query restores it — learned clauses, phases and the Luby
-position survive process death.  A definitive answer discards the
-checkpoint.  Certified runs skip restore (a DRAT log cannot replay
-clause derivations from a previous process) and the parallel portfolio
-path does not checkpoint (workers race non-deterministically).
+:class:`SmtSolver` consults a store (``EngineOptions.checkpoints``,
+filled from ``REPRO_CHECKPOINT_DIR`` when left unset) on the sequential
+solve path: a budget- or conflict-cap-exhausted UNKNOWN saves a
+checkpoint; the next check of the same query restores it — learned
+clauses, phases and the Luby position survive process death.  A
+definitive answer discards the checkpoint.  Certified runs skip restore
+(a DRAT log cannot replay clause derivations from a previous process)
+and the parallel portfolio path does not checkpoint (workers race
+non-deterministically).
 
 Trust on load: the envelope's sha256 is recomputed; any mismatch,
 truncation or parse failure deletes the file and reports a miss —
@@ -159,31 +160,3 @@ class CheckpointStore:
             )
         except OSError:
             return 0
-
-
-_default_store: Optional[CheckpointStore] = None
-_default_key: Optional[str] = None
-
-
-def resolve_checkpoints(setting) -> Optional[CheckpointStore]:
-    """Map a checkpoint knob (None/False/path/store) to an effective store.
-
-    ``False`` disables checkpointing outright; ``None`` defers to the
-    ``REPRO_CHECKPOINT_DIR`` environment variable (unset → disabled); a
-    path creates a store there; a :class:`CheckpointStore` is used
-    as-is.
-    """
-    global _default_store, _default_key
-    if setting is False:
-        return None
-    if isinstance(setting, CheckpointStore):
-        return setting
-    if setting is not None:
-        return CheckpointStore(setting)
-    env = os.environ.get("REPRO_CHECKPOINT_DIR")
-    if not env:
-        _default_store, _default_key = None, None
-        return None
-    if env != _default_key:
-        _default_store, _default_key = CheckpointStore(env), env
-    return _default_store

@@ -17,12 +17,11 @@ produces in bulk:
   that differ only by folded constants.
 
 ``simplify`` preserves semantics (property-tested against evaluation)
-and never grows a term.  :class:`repro.smt.solver.SmtSolver` applies it
-when constructed with ``simplify_terms=True``; it is off by default
-because measurements show the bit-blaster's gate-level constant
-propagation already absorbs these patterns on compiled Buffy formulas
-(identical CNF sizes), so the pass mainly helps human-readable output
-(SMT-LIB export, debugging) rather than solving time.
+and never grows a term.  The solve path does not use it: measurements
+showed the bit-blaster's gate-level constant propagation already
+absorbs these patterns on compiled Buffy formulas (identical CNF
+sizes), so the pass is for human-readable output (SMT-LIB export,
+debugging), not for solving time.
 """
 
 from __future__ import annotations

@@ -22,20 +22,26 @@ An optional :class:`repro.runtime.EscalationPolicy` retries retryable
 UNKNOWNs (per-call conflict caps) with varied CDCL configurations
 before giving up.
 
-The solving engine (:mod:`repro.engine`) adds three opt-in modes under
-this same facade:
+The solving engine (:mod:`repro.engine`) adds opt-in modes under this
+same facade.  ``options=`` takes an :class:`repro.engine.EngineOptions`;
+left at ``None`` it is resolved once, here in the constructor, from the
+``REPRO_*`` environment, and never re-read:
 
-* ``parallelism=N`` (or ``REPRO_JOBS=N``) races the escalation ladder's
-  configurations concurrently in a shared process pool — first SAT or
-  UNSAT wins, losers are cancelled.  Verdicts are deterministic (every
-  configuration decides the same theory); models and timings may vary.
-* ``cache=`` consults a content-addressed result cache *before*
-  encoding; identical (formulas, bounds) queries answer in microseconds.
-* ``incremental=True`` keeps one bit-blasted CNF and one CDCL solver
-  alive across ``check()`` calls: assumptions become SAT-level
-  assumption literals, push/pop frames become activation literals, and
-  learned clauses survive — the mode `DafnyBackend` and Houdini use to
-  discharge many near-identical queries against one shared encoding.
+* ``jobs=N`` races the escalation ladder's configurations concurrently
+  in a shared process pool — first SAT or UNSAT wins, losers are
+  cancelled.  Verdicts are deterministic (every configuration decides
+  the same theory); models and timings may vary.
+* ``cache`` is consulted *before* encoding; identical (formulas,
+  bounds) queries answer in microseconds.
+* ``certify`` requires every UNSAT answer to carry a DRAT certificate
+  the independent :mod:`repro.trust` checker accepts.
+* ``checkpoints`` lets a budget-exhausted sequential solve resume.
+
+``incremental=True`` keeps one bit-blasted CNF and one CDCL solver
+alive across ``check()`` calls: assumptions become SAT-level assumption
+literals, push/pop frames become activation literals, and learned
+clauses survive — the mode `DafnyBackend` and Houdini use to discharge
+many near-identical queries against one shared encoding.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ from ..runtime.budget import (
     ResourceReport,
     SolverFault,
 )
-from ..trust import Certificate, DratChecker, DratError, ProofLog, certify_default
+from ..engine.options import EngineOptions
+from ..trust import Certificate, DratChecker, DratError, ProofLog
 from .bitblast import BitBlaster
 from .intervals import BoundsEnv, Interval
 from .model import Model
@@ -63,8 +70,6 @@ from .sorts import BOOL
 from .terms import TRUE, Term, evaluate, free_vars, mk_and
 
 if TYPE_CHECKING:
-    from ..engine.cache import ResultCache
-    from ..persist.checkpoint import CheckpointStore
     from ..runtime.chaos import ChaosMonkey
     from ..runtime.portfolio import EscalationPolicy
 
@@ -147,8 +152,8 @@ class _IncrementalSession:
                     METRICS.counter_inc(
                         "repro_incremental_frames_retired_total")
 
-    def sync(self, stack: Sequence[Sequence[Term]], assumptions: Sequence[Term],
-             simplify_terms: bool) -> list[int]:
+    def sync(self, stack: Sequence[Sequence[Term]],
+             assumptions: Sequence[Term]) -> list[int]:
         """Encode everything new; return the assumption literals to solve under."""
         blaster = self.blaster
         for act in self.retired_acts:
@@ -158,15 +163,9 @@ class _IncrementalSession:
             self.frames.append(_IncFrame(act=blaster.cnf.new_var()))
             if METRICS.enabled:
                 METRICS.counter_inc("repro_incremental_frames_pushed_total")
-        if simplify_terms:
-            from .simplify import simplify
-        else:
-            simplify = None
         for frame, formulas in zip(self.frames, stack):
             while frame.encoded < len(formulas):
                 f = formulas[frame.encoded]
-                if simplify is not None:
-                    f = simplify(f)
                 if frame.act is None:
                     blaster.assert_formula(f)
                 else:
@@ -174,8 +173,7 @@ class _IncrementalSession:
                 frame.encoded += 1
         lits = [frame.act for frame in self.frames if frame.act is not None]
         for a in assumptions:
-            f = simplify(a) if simplify is not None else a
-            lits.append(blaster.literal_for(f))
+            lits.append(blaster.literal_for(a))
         self._load_clauses()
         return lits
 
@@ -212,35 +210,23 @@ class SmtSolver:
         sat_config: Optional[CDCLConfig] = None,
         default_bounds: Interval = Interval(-(1 << 15), (1 << 15) - 1),
         validate_models: bool = True,
-        simplify_terms: bool = False,
         budget: Optional[Budget] = None,
         escalation: Optional["EscalationPolicy"] = None,
-        parallelism: Optional[int] = None,
-        cache: Union["ResultCache", None, bool] = None,
         incremental: bool = False,
-        certify: Optional[bool] = None,
-        checkpoints: Union["CheckpointStore", str, None, bool] = None,
+        options: Optional[EngineOptions] = None,
     ):
         self.sat_config = sat_config
         self.validate_models = validate_models
-        self.simplify_terms = simplify_terms
         self.budget = budget
         self.escalation = escalation
-        # None defers to REPRO_JOBS at check() time; an int pins it.
-        self.parallelism = parallelism
-        # None defers to REPRO_CACHE/REPRO_CACHE_DIR; False disables;
-        # a ResultCache instance is used directly.
-        self.cache = cache
         self.incremental = incremental
-        # None defers to REPRO_CERTIFY at check() time; a bool pins it.
-        # When active, every UNSAT answer must carry a DRAT certificate
-        # accepted by the independent repro.trust checker, else the
-        # answer degrades to UNKNOWN(certification_failed).
-        self.certify = certify
-        # None defers to REPRO_CHECKPOINT_DIR; False disables; a path or
-        # CheckpointStore enables solver checkpoint/resume on the
-        # sequential one-shot path (see repro.persist.checkpoint).
-        self.checkpoints = checkpoints
+        # Resolved once: the environment is never consulted again.  With
+        # options.certify every UNSAT answer must carry a DRAT
+        # certificate accepted by the independent repro.trust checker,
+        # else the answer degrades to UNKNOWN(certification_failed).
+        self.options = (
+            options if options is not None else EngineOptions.resolve()
+        )
         # Learned clauses re-installed from a checkpoint by the last
         # check(); > 0 proves a resume actually reused prior work.
         self.last_restored_learnts = 0
@@ -305,30 +291,6 @@ class SmtSolver:
         if self._inc is not None:
             self._inc.retire_to(len(self._stack))
 
-    # ----- engine knobs ---------------------------------------------------------
-
-    def _effective_jobs(self) -> int:
-        if self.parallelism is not None:
-            return max(1, self.parallelism)
-        from ..engine.parallel import default_jobs
-
-        return default_jobs()
-
-    def _effective_cache(self) -> Optional["ResultCache"]:
-        from ..engine.cache import resolve_cache
-
-        return resolve_cache(self.cache)
-
-    def _effective_certify(self) -> bool:
-        if self.certify is not None:
-            return self.certify
-        return certify_default()
-
-    def _effective_checkpoints(self):
-        from ..persist.checkpoint import resolve_checkpoints
-
-        return resolve_checkpoints(self.checkpoints)
-
     # ----- solving ---------------------------------------------------------------
 
     def check(self, *assumptions: Term) -> CheckResult:
@@ -390,8 +352,8 @@ class SmtSolver:
     # ----- one-shot path (with cache and parallel portfolio) -------------------
 
     def _check_oneshot(self, formulas: list[Term]) -> CheckResult:
-        certify = self._effective_certify()
-        cache = self._effective_cache()
+        certify = self.options.certify
+        cache = self.options.cache
         cache_key: Optional[str] = None
         if cache is not None:
             from ..engine.cache import formula_fingerprint
@@ -399,16 +361,11 @@ class SmtSolver:
             cache_key = formula_fingerprint(formulas, self._bounds)
             hit = cache.get(cache_key)
             if hit is not None:
-                result = self._replay_cached(formulas, hit, certify)
+                result = self._replay_cached(formulas, hit)
                 if result is not None:
                     return result
 
         t0 = time.perf_counter()
-        original_formulas = formulas
-        if self.simplify_terms:
-            from .simplify import simplify
-
-            formulas = [simplify(f) for f in formulas]
         blaster = BitBlaster(bounds=self._bounds, budget=self.budget)
         try:
             with TRACER.span("bitblast", formulas=len(formulas)) as sp:
@@ -427,7 +384,7 @@ class SmtSolver:
             )
         t1 = time.perf_counter()
 
-        outcome = self._solve_with_escalation(blaster, certify)
+        outcome = self._solve_with_escalation(blaster)
         t2 = time.perf_counter()
 
         self.stats = SolverStats(
@@ -461,9 +418,7 @@ class SmtSolver:
         assignment = blaster.varmap.decode(outcome.model)
         model = Model(assignment)
         if self.validate_models:
-            # Validate against the *original* terms: this also checks the
-            # simplifier preserved semantics on this model.
-            self._validate(original_formulas, model)
+            self._validate(formulas, model)
         if cache is not None and cache_key is not None:
             self._cache_store(cache, cache_key, "sat", dict(assignment))
         self._model = model
@@ -471,7 +426,7 @@ class SmtSolver:
         return CheckResult.SAT
 
     def _replay_cached(self, formulas: list[Term],
-                       hit, certify: bool = False) -> Optional[CheckResult]:
+                       hit) -> Optional[CheckResult]:
         """Answer from a cache entry, or None when the entry is unusable.
 
         SAT entries are always re-validated by evaluating the query's
@@ -482,7 +437,7 @@ class SmtSolver:
         """
         t0 = time.perf_counter()
         if hit.verdict == "unsat":
-            if certify:
+            if self.options.certify:
                 return None
             self.stats = SolverStats(
                 solve_seconds=time.perf_counter() - t0,
@@ -553,14 +508,13 @@ class SmtSolver:
         )
         return self._exhausted(report, self.stats)
 
-    def _solve_with_escalation(self, blaster: BitBlaster,
-                               certify: bool = False) -> _SolveOutcome:
+    def _solve_with_escalation(self, blaster: BitBlaster) -> _SolveOutcome:
         """Run CDCL over the escalation ladder, sequentially or in parallel.
 
         Only a per-call conflict-cap UNKNOWN is retried (with a varied
         configuration on the same CNF); a hard budget exhaustion —
         deadline, cumulative caps, cancellation — always stops the
-        ladder immediately.  With ``parallelism > 1`` the whole ladder
+        ladder immediately.  With ``options.jobs > 1`` the whole ladder
         races concurrently in the shared worker pool instead; the pool
         falling over (unlikely) falls back to the sequential climb.
         """
@@ -570,12 +524,13 @@ class SmtSolver:
                 self.escalation.ladder(self.sat_config, self.budget)
             )
         self.last_restored_learnts = 0
-        if self._effective_jobs() > 1:
+        certify = self.options.certify
+        if self.options.jobs > 1:
             # The parallel portfolio does not checkpoint: workers race
             # non-deterministically, so there is no canonical state to
             # serialize.  Sequential fallback below still does.
             try:
-                return self._solve_parallel(blaster, configs, certify)
+                return self._solve_parallel(blaster, configs)
             except Exception as exc:
                 from ..engine.parallel import PoolUnavailable
 
@@ -589,7 +544,7 @@ class SmtSolver:
         # directions: a DRAT log cannot replay clause derivations made
         # by a previous process, so restored learnts would be
         # uncertifiable and a saved proof-logging state unusable.
-        ck_store = None if certify else self._effective_checkpoints()
+        ck_store = None if certify else self.options.checkpoints
         ck_key: Optional[str] = None
         if ck_store is not None:
             from ..persist.checkpoint import cnf_fingerprint
@@ -671,11 +626,10 @@ class SmtSolver:
 
     def _solve_parallel(
         self, blaster: BitBlaster, configs: list[Optional[CDCLConfig]],
-        certify: bool = False,
     ) -> _SolveOutcome:
         from ..engine.parallel import get_pool
 
-        pool = get_pool(self._effective_jobs())
+        pool = get_pool(self.options.jobs)
         monkey = self._chaos
         chaos = None
         if monkey is not None and monkey.config.worker_crash_rate > 0:
@@ -686,7 +640,7 @@ class SmtSolver:
             )
         slot, attempts = pool.solve_portfolio(
             blaster.cnf, configs, budget=self.budget,
-            certify=certify, chaos=chaos,
+            certify=self.options.certify, chaos=chaos,
         )
         self._last_cancelled = pool.last_cancelled
         self._last_respawned = pool.last_respawned
@@ -723,13 +677,9 @@ class SmtSolver:
 
     def _check_incremental(self, assumptions: list[Term]) -> CheckResult:
         t0 = time.perf_counter()
-        certify = self._effective_certify()
+        certify = self.options.certify
         inc = self._inc
-        if inc is None or (certify and inc.proof is None):
-            # A session created without proof logging cannot certify:
-            # earlier calls' learned clauses would be missing from the
-            # replay.  Rebuild from scratch when certification turns on
-            # mid-session (the stack re-encodes via frame counters).
+        if inc is None:
             inc = self._inc = _IncrementalSession(
                 self._bounds, self.sat_config, self.budget,
                 proof=ProofLog() if certify else None,
@@ -744,7 +694,7 @@ class SmtSolver:
         try:
             with TRACER.span("bitblast", path="incremental",
                              frames=len(self._stack)) as sp:
-                lits = inc.sync(self._stack, assumptions, self.simplify_terms)
+                lits = inc.sync(self._stack, assumptions)
                 sp.set("cnf_vars", inc.blaster.cnf.num_vars)
                 sp.set("cnf_clauses", len(inc.blaster.cnf.clauses))
         except BudgetExhausted as exc:
@@ -906,7 +856,7 @@ class SmtSolver:
         Cache traffic and cancelled portfolio slots tell a ``--timeout``
         user what was tried before the solver gave up.
         """
-        cache = self._effective_cache()
+        cache = self.options.cache
         if cache is not None:
             report.cache_hits = cache.stats.hits
             report.cache_misses = cache.stats.misses

@@ -12,8 +12,6 @@ certificate checks.
 
 from __future__ import annotations
 
-import os
-
 from .drat import Certificate, DratChecker, DratError, check_drat
 from .proof import ProofLog, Step
 
@@ -23,13 +21,5 @@ __all__ = [
     "DratError",
     "ProofLog",
     "Step",
-    "certify_default",
     "check_drat",
 ]
-
-_TRUTHY = ("1", "true", "on", "yes")
-
-
-def certify_default() -> bool:
-    """The process-wide certification default (``REPRO_CERTIFY`` env var)."""
-    return os.environ.get("REPRO_CERTIFY", "").strip().lower() in _TRUTHY

@@ -3,8 +3,7 @@
 Covers the api_redesign satellite: one frozen ``AnalysisOutcome`` per
 analysis, exit codes derived from ``Verdict`` in exactly one place,
 ``.outcome()`` conversion on every back-end result type, and the
-normalized constructor signatures (with their deprecated legacy
-spellings).
+normalized constructor signatures.
 """
 
 import warnings
@@ -18,7 +17,6 @@ from repro.backends.dafny import DafnyBackend
 from repro.backends.fperf import FPerfBackend
 from repro.backends.houdini import HoudiniSynthesizer
 from repro.backends.mc import MCStatus, ModelChecker
-from repro.backends.network import NetworkBackend
 from repro.backends.smt_backend import SmtBackend, Status
 from repro.compiler.symexec import EncodeConfig
 from repro.netmodels.schedulers import fq_fixed, round_robin, strict_priority
@@ -241,22 +239,13 @@ fifo(in buffer ib, out buffer ob){
         assert repro.AnalysisOutcome is AnalysisOutcome
 
 
-# ----- normalized constructors + legacy shims --------------------------------
+# ----- normalized constructors ---------------------------------------------
 
 
 class TestConstructorShims:
-    """Legacy ``checked=``/``horizon=`` spellings: still accepted for
-    one release, but every use now emits a ``DeprecationWarning``."""
-
-    def test_smt_legacy_keywords_still_work(self):
-        program = strict_priority(2)
-        with pytest.deprecated_call():
-            legacy = SmtBackend(checked=program, horizon=3, config=CONFIG)
-        modern = SmtBackend(program, 3, config=CONFIG)
-        assert legacy.horizon == modern.horizon == 3
-        with pytest.deprecated_call():
-            assert legacy.checked is program
-        assert legacy.program is program
+    """The normalized ``(program, steps)`` spelling; the legacy
+    ``checked=``/``horizon=`` keywords are gone (an unknown keyword is a
+    ``TypeError``)."""
 
     def test_modern_spelling_is_warning_free(self):
         program = strict_priority(2)
@@ -264,34 +253,6 @@ class TestConstructorShims:
             warnings.simplefilter("error", DeprecationWarning)
             backend = SmtBackend(program, steps=3, config=CONFIG)
         assert backend.program is program
-
-    def test_smt_conflicting_spellings_raise(self):
-        program = strict_priority(2)
-        with pytest.raises(TypeError):
-            SmtBackend(program, 3, checked=program)
-        with pytest.raises(TypeError):
-            SmtBackend(program, 3, horizon=4)
-
-    def test_dafny_legacy_checked_keyword(self):
-        program = fq_fixed(2)
-        with pytest.deprecated_call():
-            legacy = DafnyBackend(checked=program, config=CONFIG)
-        assert legacy.program is program
-        with pytest.raises(TypeError):
-            DafnyBackend(program, checked=program)
-
-    def test_fperf_legacy_keywords(self):
-        program = round_robin(2)
-        with pytest.deprecated_call():
-            legacy = FPerfBackend(checked=program, horizon=3, config=CONFIG)
-        modern = FPerfBackend(program, 3, config=CONFIG)
-        assert legacy.horizon == modern.horizon == 3
-
-    def test_network_legacy_horizon_keyword(self):
-        program = strict_priority(2)
-        with pytest.deprecated_call():
-            NetworkBackend({"n": program}, (), horizon=2,
-                           default_config=CONFIG)
 
     def test_backends_require_a_program(self):
         with pytest.raises(TypeError):

@@ -17,7 +17,7 @@ from repro.baselines.fperf_fq import encode_fq_baseline
 from repro.baselines.fperf_prio import encode_prio_baseline
 from repro.baselines.fperf_rr import encode_rr_baseline
 from repro.compiler.symexec import EncodeConfig
-from repro.engine import ResultCache, formula_fingerprint
+from repro.engine import EngineOptions, ResultCache, formula_fingerprint
 from repro.netmodels.schedulers import fq_buggy, fq_fixed, round_robin, strict_priority
 from repro.runtime.budget import Budget, ExhaustionReason
 from repro.smt.intervals import BoundsEnv, Interval
@@ -69,7 +69,7 @@ class TestParallelPortfolio:
 
     def test_parallel_sat_model_is_validated(self):
         x, y = mk_int_var("x"), mk_int_var("y")
-        solver = SmtSolver(parallelism=2)
+        solver = SmtSolver(options=EngineOptions.resolve(jobs=2))
         solver.set_bounds(x, 0, 15)
         solver.set_bounds(y, 0, 15)
         solver.add(mk_le(mk_int(5), x + y), mk_le(x, mk_int(3)))
@@ -79,7 +79,7 @@ class TestParallelPortfolio:
 
     def test_parallel_unsat(self):
         a = mk_bool_var("a")
-        solver = SmtSolver(parallelism=3)
+        solver = SmtSolver(options=EngineOptions.resolve(jobs=3))
         solver.add(a, mk_not(a))
         assert solver.check() is CheckResult.UNSAT
 
@@ -89,7 +89,7 @@ class TestParallelPortfolio:
         from repro.smt.sat.cdcl import CDCLConfig
 
         solver = SmtSolver(
-            parallelism=2,
+            options=EngineOptions.resolve(jobs=2),
             sat_config=CDCLConfig(max_conflicts=3),
             escalation=EscalationPolicy(max_attempts=3),
         )
@@ -242,7 +242,8 @@ class TestResultCache:
         cache = ResultCache()
         a = mk_bool_var("a")
         for expect_hit in (False, True):
-            solver = SmtSolver(cache=cache, certify=False)
+            solver = SmtSolver(
+                options=EngineOptions.resolve(cache=cache, certify=False))
             solver.add(a, mk_not(a))
             assert solver.check() is CheckResult.UNSAT
             assert solver.stats.cache_hit is expect_hit
@@ -250,13 +251,14 @@ class TestResultCache:
     def test_disk_cache_survives_process_state(self, tmp_path):
         a, b = mk_bool_var("a"), mk_bool_var("b")
         formula = mk_and(mk_or(a, b), mk_not(a))
-        first = SmtSolver(cache=ResultCache(disk_dir=tmp_path))
+        first = SmtSolver(options=EngineOptions.resolve(
+            cache=ResultCache(disk_dir=tmp_path)))
         first.add(formula)
         assert first.check() is CheckResult.SAT
 
         # A brand-new cache over the same directory: memory-cold, disk-warm.
         cold = ResultCache(disk_dir=tmp_path)
-        second = SmtSolver(cache=cold)
+        second = SmtSolver(options=EngineOptions.resolve(cache=cold))
         second.add(formula)
         assert second.check() is CheckResult.SAT
         assert cold.stats.disk_hits == 1
@@ -265,7 +267,7 @@ class TestResultCache:
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)
         for i in range(4):
-            solver = SmtSolver(cache=cache)
+            solver = SmtSolver(options=EngineOptions.resolve(cache=cache))
             x = mk_int_var(f"x{i}")
             solver.set_bounds(x, 0, 7)
             solver.add(mk_le(mk_int(i), x))

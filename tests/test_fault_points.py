@@ -17,6 +17,7 @@ import pytest
 
 from repro import obs
 from repro.chaos import ScheduledMonkey
+from repro.engine.options import EngineOptions
 from repro.obs import METRICS
 from repro.persist.journal import tear_tail
 from repro.runtime.chaos import ChaosConfig, ChaosMonkey, InjectedFault
@@ -211,7 +212,8 @@ def test_worker_crash_env_reaches_the_portfolio(monkeypatch):
         assert monkey is not None
         assert monkey.config.worker_crash_rate == 0.5
         assert monkey.config.worker_max_crashes == 2
-        solver = SmtSolver(parallelism=2, cache=False, checkpoints=False)
+        solver = SmtSolver(options=EngineOptions.resolve(
+            jobs=2, cache=False, checkpoints=False))
         x = mk_int_var("x")
         solver.set_bounds("x", 0, 10)
         solver.add(mk_le(mk_int(3), x))

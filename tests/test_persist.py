@@ -17,11 +17,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.result import EXIT_DEADLETTER, Verdict
 from repro.persist.batch import BatchRunner, analyze_many, job_id_for
-from repro.persist.checkpoint import (
-    CheckpointStore,
-    cnf_fingerprint,
-    resolve_checkpoints,
-)
+from repro.engine.options import EngineOptions
+from repro.persist.checkpoint import CheckpointStore, cnf_fingerprint
 from repro.persist.journal import (
     Journal,
     canonical_json,
@@ -257,18 +254,6 @@ class TestCheckpointStore:
         assert store.load("k") == {"v": "old"}
         assert len(store) == 1  # no stray temp file counted
 
-    def test_resolve_checkpoints(self, tmp_path, monkeypatch):
-        assert resolve_checkpoints(False) is None
-        store = CheckpointStore(tmp_path)
-        assert resolve_checkpoints(store) is store
-        assert resolve_checkpoints(tmp_path).directory == tmp_path
-        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-        assert resolve_checkpoints(None) is None
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "env"))
-        resolved = resolve_checkpoints(None)
-        assert resolved is not None
-        assert resolved is resolve_checkpoints(None)  # cached per dir
-
 
 # ---------------------------------------------------------------------------
 # CDCL checkpoint / resume
@@ -425,8 +410,9 @@ def _php_terms(pigeons, holes):
 
 
 class TestSolverCheckpointWiring:
-    # certify=False is pinned throughout: SmtSolver(certify=None) defers
-    # to REPRO_CERTIFY, and certified runs skip checkpointing by design
+    # certify is pinned off throughout (EngineOptions defaults it to
+    # False; resolve() is given certify=False): certified runs skip
+    # checkpointing by design
     # (a resumed solve could not replay the proof log), so these wiring
     # tests must hold the certify axis fixed to stay green on the
     # certified CI leg.
@@ -435,7 +421,7 @@ class TestSolverCheckpointWiring:
         store = CheckpointStore(tmp_path)
         s1 = SmtSolver(
             sat_config=CDCLConfig(max_conflicts=150),
-            parallelism=1, cache=False, checkpoints=store, certify=False,
+            options=EngineOptions(jobs=1, checkpoints=store),
         )
         s1.add(*_php_terms(7, 6))
         assert s1.check() is CheckResult.UNKNOWN
@@ -443,7 +429,7 @@ class TestSolverCheckpointWiring:
         assert len(store) == 1
 
         s2 = SmtSolver(
-            parallelism=1, cache=False, checkpoints=store, certify=False,
+            options=EngineOptions(jobs=1, checkpoints=store),
         )
         s2.add(*_php_terms(7, 6))
         assert s2.check() is CheckResult.UNSAT
@@ -458,7 +444,7 @@ class TestSolverCheckpointWiring:
         monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
         s = SmtSolver(
             sat_config=CDCLConfig(max_conflicts=50),
-            parallelism=1, cache=False, certify=False,
+            options=EngineOptions.resolve(jobs=1, cache=False, certify=False),
         )
         s.add(*_php_terms(6, 5))
         assert s.check() is CheckResult.UNKNOWN
@@ -468,7 +454,7 @@ class TestSolverCheckpointWiring:
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
         s = SmtSolver(
             sat_config=CDCLConfig(max_conflicts=150),
-            parallelism=1, cache=False, certify=False,
+            options=EngineOptions.resolve(jobs=1, cache=False, certify=False),
         )
         s.add(*_php_terms(7, 6))
         assert s.check() is CheckResult.UNKNOWN
@@ -478,7 +464,7 @@ class TestSolverCheckpointWiring:
         store = CheckpointStore(tmp_path)
         s1 = SmtSolver(
             sat_config=CDCLConfig(max_conflicts=150),
-            parallelism=1, cache=False, checkpoints=store, certify=True,
+            options=EngineOptions(jobs=1, checkpoints=store, certify=True),
         )
         s1.add(*_php_terms(7, 6))
         assert s1.check() is CheckResult.UNKNOWN
@@ -489,13 +475,13 @@ class TestSolverCheckpointWiring:
         store = CheckpointStore(tmp_path)
         s1 = SmtSolver(
             sat_config=CDCLConfig(max_conflicts=150),
-            parallelism=1, cache=False, checkpoints=store, certify=False,
+            options=EngineOptions(jobs=1, checkpoints=store),
         )
         s1.add(*_php_terms(7, 6))
         assert s1.check() is CheckResult.UNKNOWN
 
         s2 = SmtSolver(
-            parallelism=1, cache=False, checkpoints=store, certify=False,
+            options=EngineOptions(jobs=1, checkpoints=store),
         )
         s2.add(*_php_terms(6, 5))  # different CNF -> different key
         assert s2.check() is CheckResult.UNSAT

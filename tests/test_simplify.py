@@ -152,24 +152,3 @@ class TestOnCompiledFormulas:
         before = dag_size(query)
         after = dag_size(simplify(query))
         assert after <= before
-
-    def test_solver_results_identical_with_and_without(self):
-        from repro.smt.solver import CheckResult, SmtSolver
-
-        x = mk_int_var("simp_x")
-        c = mk_bool_var("simp_c")
-        formula = mk_and(
-            mk_lt(ZERO, mk_bool_to_int(c)),
-            mk_eq(mk_ite(c, x + mk_int(2), ZERO), mk_int(5)),
-        )
-        answers = []
-        for flag in (True, False):
-            solver = SmtSolver(simplify_terms=flag)
-            solver.set_bounds("simp_x", -8, 8)
-            solver.add(formula)
-            answers.append(solver.check())
-            if answers[-1] is CheckResult.SAT:
-                model = solver.model()
-                assert model["simp_c"] is True
-                assert model["simp_x"] == 3
-        assert answers[0] == answers[1] == CheckResult.SAT

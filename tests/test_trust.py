@@ -16,6 +16,7 @@ from repro.analysis.result import EXIT_CERTIFICATION, Verdict
 from repro.backends.smt_backend import SmtBackend, Status
 from repro.compiler.symexec import EncodeConfig
 from repro.engine.cache import ResultCache
+from repro.engine.options import EngineOptions
 from repro.engine.parallel import PortfolioPool
 from repro.netmodels.schedulers import fq_buggy, round_robin, strict_priority
 from repro.runtime.budget import ExhaustionReason
@@ -173,7 +174,7 @@ class TestCertifiedAnswers:
         assert result.status is Status.UNSATISFIABLE
 
     def test_oneshot_certificate_exposed(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(options=EngineOptions.resolve(certify=True))
         x = mk_bool_var("x")
         solver.add(x)
         solver.add(mk_not(x))
@@ -182,7 +183,8 @@ class TestCertifiedAnswers:
         assert cert is not None and cert.verified
 
     def test_incremental_certificate_across_calls(self):
-        solver = SmtSolver(incremental=True, certify=True)
+        solver = SmtSolver(incremental=True,
+                           options=EngineOptions.resolve(certify=True))
         a, b, c = mk_bool_var("a"), mk_bool_var("b"), mk_bool_var("c")
         solver.add(mk_or(mk_not(a), mk_not(b)))
         assert solver.check(a, b, c) is CheckResult.UNSAT
@@ -192,7 +194,7 @@ class TestCertifiedAnswers:
         assert solver.certificate is not None and solver.certificate.verified
 
     def test_sat_answers_have_no_certificate(self):
-        solver = SmtSolver(certify=True)
+        solver = SmtSolver(options=EngineOptions.resolve(certify=True))
         solver.add(mk_bool_var("x"))
         assert solver.check() is CheckResult.SAT
         assert solver.certificate is None
