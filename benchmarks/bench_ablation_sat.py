@@ -15,7 +15,10 @@ no longer constructs solver internals directly.
 CI gates on this module: ``scripts/check_bench_regression.py``
 compares the emitted ``BENCH_ablation_sat.json`` against the committed
 ``BENCH_ablation_sat.baseline.json`` (machine speed is calibrated by
-the ``full`` variant) and fails on a >20% regression.
+the ``full`` variant) and fails on a >20% regression.  Each variant
+also records its CDCL ``conflicts``, ``propagations`` and
+``rollbacks``; under a fixed ``PYTHONHASHSEED`` these counts are
+deterministic, and CI checks that two runs record the same ones.
 """
 
 import pytest
@@ -24,6 +27,7 @@ from repro.backends.dafny import DafnyBackend
 from repro.compiler.symexec import EncodeConfig
 from repro.netmodels.schedulers import fq_buggy
 from repro.smt.sat.cdcl import CDCLConfig
+from repro.smt.solver import SmtSolver
 from repro.smt.terms import mk_le
 
 HORIZON = 3
@@ -54,9 +58,16 @@ def total_work_query(view):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_sat_feature_ablation(benchmark, variant, bench_json):
+    solvers: list[SmtSolver] = []
+
+    def recording_solver(**kwargs):
+        solvers.append(SmtSolver(**kwargs))
+        return solvers[-1]
+
     dafny = DafnyBackend(
         fq_buggy(2), config=CONFIG,
         sat_config=CDCLConfig.from_options(VARIANTS[variant]),
+        solver_factory=recording_solver,
     )
     report = benchmark.pedantic(
         lambda: dafny.verify_monolithic(
@@ -70,9 +81,14 @@ def test_sat_feature_ablation(benchmark, variant, bench_json):
                variant=variant, horizon=HORIZON)
     bench_json("cnf_clauses", report.vcs[0].cnf_clauses, "clauses",
                variant=variant)
+    (solver,) = solvers  # one machine, one shared solver for its VC
+    sat = solver.stats.sat_lifetime
+    for name in ("conflicts", "propagations", "rollbacks"):
+        bench_json(name, getattr(sat, name), "count", variant=variant)
     _rows.append(
         f"{variant:16s}: {report.elapsed_seconds:7.2f}s"
-        f" ({report.vcs[0].cnf_clauses} clauses)"
+        f" ({report.vcs[0].cnf_clauses} clauses, {sat.conflicts} conflicts,"
+        f" {sat.rollbacks} rollbacks)"
     )
 
 

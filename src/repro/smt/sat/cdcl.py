@@ -18,7 +18,11 @@ follows MiniSat/Glucose; the storage layer does not:
 * inprocessing runs between restarts: root-level clause strengthening,
   subsumption/self-subsumption, clause vivification, and SatELite-style
   bounded variable elimination (with model extension and on-demand
-  variable reintroduction for incremental sessions).
+  variable reintroduction for incremental sessions),
+* the first round is rented, not bought: a solve searches the formula
+  as loaded for up to ``RENTAL_PROPAGATIONS`` propagations, and only
+  if that does not settle it rolls back to a level-0 snapshot, runs
+  the round and searches exactly as it would have without the rental.
 
 Search features: two-watched-literal propagation, first-UIP conflict
 analysis with clause minimization, VSIDS with phase saving, Luby
@@ -71,7 +75,6 @@ CDCL_OPTION_HELP = {
     "restart_base": "conflicts per Luby restart unit",
     "var_decay": "VSIDS activity decay factor",
     "clause_decay": "learned-clause activity decay factor",
-    "max_learnts_frac": "legacy activity-reduction knob (unused)",
     "max_conflicts": "per-solve conflict cap (none = unlimited)",
     "lbd_keep": "learned clauses with LBD <= this are never deleted",
     "reduce_base": "conflicts before the first DB reduction",
@@ -105,9 +108,6 @@ class CDCLConfig:
     restart_base: int = 200
     var_decay: float = 0.95
     clause_decay: float = 0.999
-    # Retained for one release of config compatibility: the arena solver
-    # reduces by LBD on a conflict schedule, so this knob is ignored.
-    max_learnts_frac: float = 0.35
     max_conflicts: Optional[int] = None
     lbd_keep: int = 2
     reduce_base: int = 1000
@@ -176,6 +176,17 @@ def _coerce_option(name: str, type_str: str, raw: object):
 
 # SatStats lives in repro.smt.stats (the unified schema); re-exported
 # here because this was its historical home.
+
+
+#: Lifetime propagations a solver may spend searching before it pays for
+#: its first inprocessing round (see ``CDCLSolver._search``).  Sized on
+#: the traffic the verdicts come from: the largest ``query_sweep`` solve
+#: uses 3.3k lifetime propagations and a Fig-6 T=1 VC about 1.4k, so
+#: both finish inside the rental and never pay for a round, while a
+#: Fig-6 T=2 VC needs about 74k (its round included), so it pays at
+#: most this much extra before rolling back to the search it would have
+#: run anyway.
+RENTAL_PROPAGATIONS = 5_000
 
 
 def _luby(i: int) -> int:
@@ -1148,15 +1159,23 @@ class CDCLSolver:
             self._log_empty()
             self._ok = False
             return SatResult.UNSAT
+        for a in assumptions:
+            self._ensure_vars(-a if a < 0 else a)
         config = self.config
         frozen: Optional[set] = None
+        rental: Optional[tuple] = None
         if config.use_inprocessing and not self._inprocessed_once:
-            # First solve on this instance: run a preprocessing round
-            # before search (SatELite style), where it pays off most.
-            self._inprocessed_once = True
-            frozen = {-a if a < 0 else a for a in assumptions}
-            if not self._inprocess(frozen, budget):
-                return SatResult.UNSAT
+            if self.stats.propagations < RENTAL_PROPAGATIONS:
+                # Search the formula as loaded first: most solves end
+                # long before a preprocessing round would pay for itself.
+                rental = self._rent()
+            else:
+                # First round on this instance (SatELite style), before
+                # search, where it pays off most.
+                self._inprocessed_once = True
+                frozen = {-a if a < 0 else a for a in assumptions}
+                if not self._inprocess(frozen, budget):
+                    return SatResult.UNSAT
         decisions_since_check = 0
         # Progress beacon: resolved once per solve so a disabled beacon
         # costs nothing inside the loop; enabled, one int compare per
@@ -1178,6 +1197,22 @@ class CDCLSolver:
 
         while True:
             conflict = self._propagate()
+            if rental is not None and (
+                self.stats.propagations >= RENTAL_PROPAGATIONS
+                or 0 <= conflicts_until_restart <= conflicts_since_restart
+            ):
+                # The rental is spent (or its first restart is due):
+                # roll back, run the round, and search from the snapshot
+                # exactly as a solve that never rented would.
+                frozen = {-a if a < 0 else a for a in assumptions}
+                if not self._roll_back(rental, frozen, budget):
+                    return SatResult.UNSAT
+                rental = None
+                # A rental ends before its first restart, so the Luby
+                # position is still the one this search started from.
+                conflicts_since_restart = 0
+                decisions_since_check = 0
+                continue
             if conflict >= 0:
                 self.stats.conflicts += 1
                 conflicts_since_restart += 1
@@ -1244,7 +1279,8 @@ class CDCLSolver:
                 continue
 
             if (
-                self._n_learnt
+                rental is None
+                and self._n_learnt
                 and self.stats.conflicts - self._conflicts_at_reduce
                 >= self._reduce_fuel
             ):
@@ -1255,7 +1291,6 @@ class CDCLSolver:
             decision_level = len(self._trail_lim)
             if decision_level < len(assumptions):
                 a = assumptions[decision_level]
-                self._ensure_vars(-a if a < 0 else a)
                 val = self._lit_value(a)
                 if val == 1:
                     self._trail_lim.append(len(self._trail))
@@ -1282,6 +1317,57 @@ class CDCLSolver:
                         return SatResult.UNKNOWN
             self._trail_lim.append(len(self._trail))
             self._enqueue(next_lit, -1)
+
+    def _rent(self) -> tuple:
+        """Snapshot the level-0 state a rental may roll back to.
+
+        Taken where the first inprocessing round would otherwise run.
+        A rental only appends clauses (no reduction, no round, no
+        compaction), but propagation reorders arena literals and watch
+        lists and conflicts bump activities, so everything the search
+        reads is copied.
+        """
+        self.stats.rentals += 1
+        return (
+            self.stats.snapshot(),
+            self._ar[:], self._c_start[:], self._c_size[:],
+            self._c_learnt[:], self._c_lbd[:], self._c_act[:],
+            self._c_dead[:],
+            [w[:] for w in self._watches], [b[:] for b in self._bins],
+            self._vals[:], self._level[:], self._reason[:], self._trail[:],
+            self._qhead,
+            self._activity[:], self._phase[:], self._heap[:],
+            self._heap_act[:], self._var_inc, self._cla_inc,
+            self._free_lits, self._n_irr, self._n_learnt, self._reduce_fuel,
+        )
+
+    def _roll_back(self, rental: tuple, frozen: set,
+                   budget: Optional["Budget"]) -> bool:
+        """Restore a :meth:`_rent` snapshot, then run the first round.
+
+        Returns False iff the round proves UNSAT.  ``stats`` keep the
+        rental's work; the reduction schedule is rebased past it so the
+        search that follows is the one an unrented solve runs.  The
+        rental's lemmas stay in the proof log (they are RUP, so the
+        checker keeping them is sound) and no deletion is logged for
+        them.
+        """
+        (rented_at,
+         self._ar, self._c_start, self._c_size,
+         self._c_learnt, self._c_lbd, self._c_act,
+         self._c_dead,
+         self._watches, self._bins,
+         self._vals, self._level, self._reason, self._trail,
+         self._qhead,
+         self._activity, self._phase, self._heap,
+         self._heap_act, self._var_inc, self._cla_inc,
+         self._free_lits, self._n_irr, self._n_learnt,
+         self._reduce_fuel) = rental
+        self._trail_lim = []
+        self._conflicts_at_reduce += self.stats.conflicts - rented_at.conflicts
+        self.stats.rollbacks += 1
+        self._inprocessed_once = True
+        return self._inprocess(frozen, budget)
 
     def _emit_progress(self, beacon, mark) -> tuple:
         """Emit one live-progress sample; returns the new rate mark.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.netmodels.schedulers import PRIO_SRC, RR_SRC
+from repro.smt.sat.cdcl import CDCLConfig
 
 
 @pytest.fixture
@@ -33,6 +34,19 @@ class TestCli:
         assert main(["check", prio_file, "-D", "N=2"]) == 0
         out = capsys.readouterr().out
         assert "prio: OK" in out
+
+    def test_retired_solver_opt_lists_the_valid_knobs(self, prio_file,
+                                                      capsys):
+        """``max_learnts_frac`` was inert and is gone: naming it is an
+        unknown-option error that lists every ``CDCLConfig`` knob."""
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", prio_file, "-D", "N=2",
+                  "--solver-opt", "max_learnts_frac=0.35"])
+        assert exited.value.code == 4
+        err = capsys.readouterr().err
+        assert "unknown solver option 'max_learnts_frac'" in err
+        valid = err.strip().split("valid options: ", 1)[1].split(", ")
+        assert valid == sorted(CDCLConfig.option_names())
 
     def test_check_bad_program(self, tmp_path, capsys):
         path = tmp_path / "bad.buffy"

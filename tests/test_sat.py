@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.budget import Budget
 from repro.smt.cnf import CNF, check_assignment
+from repro.smt.sat import cdcl
 from repro.smt.sat.cdcl import (
     CDCLConfig,
     CDCLSolver,
@@ -16,6 +18,8 @@ from repro.smt.sat.cdcl import (
     solve_cnf,
 )
 from repro.smt.sat.dpll import DPLLSolver, solve_cnf_dpll
+from repro.trust import check_drat
+from repro.trust.proof import ProofLog
 
 
 def brute_force_sat(cnf: CNF) -> bool:
@@ -293,3 +297,110 @@ def test_inprocessing_never_attaches_clauses_with_dead_watches():
             " watches: invisible to propagation"
         )
     assert solver.solve([-7, -8]) is SatResult.UNSAT
+
+
+# ----- the rented first inprocessing round ------------------------------------
+
+
+def _solver(cnf: CNF, config=None, proof=None) -> CDCLSolver:
+    solver = CDCLSolver(cnf.num_vars, config, proof=proof)
+    assert solver.add_cnf(cnf)
+    return solver
+
+
+def _search_after_first_round(cnf: CNF, config=None):
+    """Solve, returning (result, stats at the first round, final stats)."""
+    solver = _solver(cnf, config)
+    at_round = []
+    inprocess = solver._inprocess
+
+    def spy(frozen, budget):
+        if not at_round:
+            at_round.append(solver.stats.snapshot())
+        return inprocess(frozen, budget)
+
+    solver._inprocess = spy
+    result = solver.solve()
+    return result, at_round[0], solver.stats
+
+
+class TestRental:
+    def test_short_solves_never_pay_for_a_round(self):
+        rng = random.Random(5)
+        cnfs = [pigeonhole(4, 3), pigeonhole(5, 4)] + [
+            random_cnf(rng, rng.randint(3, 8), rng.randint(5, 35))
+            for _ in range(30)
+        ]
+        for cnf in cnfs:
+            expected, _ = solve_cnf_dpll(cnf)
+            proof = ProofLog()
+            solver = CDCLSolver(cnf.num_vars, proof=proof)
+            result = solver.solve() if solver.add_cnf(cnf) else SatResult.UNSAT
+            assert result is expected
+            assert solver.stats.inprocessings == 0
+            assert solver.stats.rollbacks == 0
+            assert not solver._inprocessed_once
+            if result is SatResult.SAT:
+                assert check_assignment(cnf, solver.model())
+            else:
+                check_drat(cnf.num_vars, cnf.clauses, proof.steps)
+
+    @pytest.mark.parametrize("config", [
+        None,  # the rental ends at its first restart
+        # The rental ends at its price, and the reductions that follow
+        # run on the rebased schedule.
+        CDCLConfig(restart_base=1000, reduce_base=100, reduce_inc=50),
+    ])
+    def test_rollback_resumes_the_unrented_search_exactly(
+            self, monkeypatch, config):
+        cnf = pigeonhole(7, 6)
+        rented, rented_at, rented_end = _search_after_first_round(cnf, config)
+        assert rented_end.rentals == 1 and rented_end.rollbacks == 1
+        assert rented_at.conflicts > 0  # the rental did search
+
+        monkeypatch.setattr(cdcl, "RENTAL_PROPAGATIONS", 0)
+        bought, bought_at, bought_end = _search_after_first_round(
+            cnf, config)
+        assert bought_end.rentals == 0 and bought_end.rollbacks == 0
+
+        assert rented is bought is SatResult.UNSAT
+        # Everything after the round is the unrented search, counter
+        # for counter; the rental's own work is the only difference.
+        assert rented_end.diff(rented_at) == bought_end.diff(bought_at)
+        assert (rented_end.conflicts - rented_at.conflicts
+                == bought_end.conflicts)
+
+    def test_first_restart_ends_the_rental(self):
+        config = CDCLConfig(restart_base=4)
+        cnf = pigeonhole(6, 5)
+        result, at_round, end = _search_after_first_round(cnf, config)
+        assert result is SatResult.UNSAT
+        assert end.rollbacks == 1
+        # Rolled back at the restart, well inside the propagation price
+        # and before any restart or reduction happened.
+        assert at_round.conflicts == config.restart_base
+        assert at_round.propagations < cdcl.RENTAL_PROPAGATIONS
+        assert at_round.restarts == 0 and at_round.deleted == 0
+
+    def test_certified_unsat_after_a_rollback(self):
+        cnf = pigeonhole(7, 6)
+        proof = ProofLog()
+        solver = _solver(cnf, proof=proof)
+        assert solver.solve() is SatResult.UNSAT
+        assert solver.stats.rollbacks == 1
+        check_drat(cnf.num_vars, cnf.clauses, proof.steps)
+
+    def test_budget_runs_out_mid_rental(self):
+        cnf = pigeonhole(7, 6)
+        solver = _solver(cnf)
+        assert solver.solve(budget=Budget(max_conflicts=20)) is (
+            SatResult.UNKNOWN)
+        assert solver.exhaust_report is not None
+        assert solver.stats.rentals == 1 and solver.stats.rollbacks == 0
+        assert solver.stats.propagations < cdcl.RENTAL_PROPAGATIONS
+
+        state = solver.checkpoint_state()
+        resumed = _solver(cnf)
+        resumed.restore_state(state)
+        assert resumed.solve() is SatResult.UNSAT
+        assert solver.solve() is SatResult.UNSAT

@@ -7,14 +7,21 @@ is checked against the naive DPLL solver on random CNFs:
 * every SAT model actually satisfies the formula;
 * every UNSAT answer carries a DRAT proof the independent checker
   replays (the ``--certify`` path), with inprocessing both on and off.
+
+These instances settle in a handful of propagations, far inside the
+rental that lets short solves skip the first inprocessing round, so
+the inprocessing configuration also runs with the rental price at 0
+(the round before search); that is what keeps elimination covered.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt.cnf import CNF, check_assignment
+from repro.smt.sat import cdcl
 from repro.smt.sat.cdcl import CDCLConfig, CDCLSolver, SatResult, solve_cnf
 from repro.smt.sat.dpll import solve_cnf_dpll
 from repro.trust import check_drat
@@ -38,6 +45,17 @@ AGGRESSIVE = CDCLConfig(
 )
 PLAIN = CDCLConfig(use_inprocessing=False)
 
+#: (config, rental price) pairs every differential test runs.
+SETUPS = [
+    (AGGRESSIVE, 0),
+    (AGGRESSIVE, cdcl.RENTAL_PROPAGATIONS),
+    (PLAIN, cdcl.RENTAL_PROPAGATIONS),
+]
+
+
+def _priced(price: int):
+    return mock.patch.object(cdcl, "RENTAL_PROPAGATIONS", price)
+
 
 def _random_cnf(n_vars: int, n_clauses: int, seed: int) -> CNF:
     rng = random.Random(seed)
@@ -57,10 +75,11 @@ def test_cdcl_agrees_with_dpll(shape):
     n_vars, n_clauses, seed = shape
     cnf = _random_cnf(n_vars, n_clauses, seed)
     ref_result, _ = solve_cnf_dpll(cnf)
-    for config in (AGGRESSIVE, PLAIN):
-        result, model, _ = solve_cnf(cnf, config)
+    for config, price in SETUPS:
+        with _priced(price):
+            result, model, _ = solve_cnf(cnf, config)
         assert result is ref_result, (
-            f"verdict mismatch vs DPLL ({config.use_inprocessing=})"
+            f"verdict mismatch vs DPLL ({config.use_inprocessing=}, {price=})"
         )
         if result is SatResult.SAT:
             assert check_assignment(cnf, model), "model does not satisfy CNF"
@@ -74,11 +93,12 @@ def test_unsat_answers_carry_checkable_drat_proofs(shape):
     ref_result, _ = solve_cnf_dpll(cnf)
     if ref_result is not SatResult.UNSAT:
         return
-    for config in (AGGRESSIVE, PLAIN):
+    for config, price in SETUPS:
         proof = ProofLog()
         solver = CDCLSolver(cnf.num_vars, config, proof=proof)
         ok = solver.add_cnf(cnf)
-        result = solver.solve() if ok else SatResult.UNSAT
+        with _priced(price):
+            result = solver.solve() if ok else SatResult.UNSAT
         assert result is SatResult.UNSAT
         # The independent checker must accept the refutation — with
         # inprocessing on, this covers elimination/strengthening steps.
@@ -98,16 +118,38 @@ def test_agreement_under_assumptions(shape, pivot):
     strengthened.add_clause([lit])
     ref_result, _ = solve_cnf_dpll(strengthened)
 
-    solver = CDCLSolver(cnf.num_vars, AGGRESSIVE)
-    if not solver.add_cnf(cnf):
-        # Root-level conflict while loading: the base formula is
-        # already UNSAT, so the strengthened one must be too.
-        assert ref_result is SatResult.UNSAT
-        return
-    result = solver.solve([lit])
-    assert result is ref_result
-    if result is SatResult.SAT:
-        model = solver.model()
-        assert check_assignment(strengthened, model)
-    else:
-        assert lit in solver.unsat_assumptions() or solver._ok is False
+    for price in (0, cdcl.RENTAL_PROPAGATIONS):
+        solver = CDCLSolver(cnf.num_vars, AGGRESSIVE)
+        if not solver.add_cnf(cnf):
+            # Root-level conflict while loading: the base formula is
+            # already UNSAT, so the strengthened one must be too.
+            assert ref_result is SatResult.UNSAT
+            return
+        with _priced(price):
+            result = solver.solve([lit])
+        assert result is ref_result
+        if result is SatResult.SAT:
+            model = solver.model()
+            assert check_assignment(strengthened, model)
+        else:
+            assert lit in solver.unsat_assumptions() or solver._ok is False
+
+
+def test_aggressive_setup_still_runs_inprocessing_rounds():
+    """Guard: the differential tests above must keep reaching inprocessing.
+
+    Drawn from the same shape ranges as ``cnf_shapes``.  Were the round
+    left to the rental, none of these instances would ever run one.
+    """
+    rng = random.Random(0)
+    rounds = eliminated = 0
+    for _ in range(120):
+        cnf = _random_cnf(rng.randint(1, 12), rng.randint(1, 55),
+                          rng.randrange(2**32))
+        for config, price in SETUPS:
+            if config is AGGRESSIVE:
+                with _priced(price):
+                    _, _, stats = solve_cnf(cnf, config)
+                rounds += stats.inprocessings
+                eliminated += stats.eliminated
+    assert rounds >= 1 and eliminated >= 1
