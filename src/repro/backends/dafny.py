@@ -418,7 +418,8 @@ class DafnyBackend(AnalysisBackend):
         """Check one parallel UNSAT slot's DRAT certificate.
 
         Returns None when the certificate checks; otherwise a
-        CERTIFICATION_FAILED report — the caller downgrades the VC to
+        CERTIFICATION_FAILED report, or the budget's report when the
+        check ran out of budget — the caller downgrades the VC to
         UNKNOWN rather than report an unverified VERIFIED.
         """
         from ..trust import Certificate
@@ -429,8 +430,11 @@ class DafnyBackend(AnalysisBackend):
             steps=list(slot.proof or []),
             core=tuple(slot.core or ()),
         )
-        with TRACER.span("proof-check", vc=name, steps=len(cert.steps)):
-            ok = cert.verify()
+        try:
+            with TRACER.span("proof-check", vc=name, steps=len(cert.steps)):
+                ok = cert.verify(self.budget)
+        except BudgetExhausted as exc:
+            return exc.report
         if METRICS.enabled:
             METRICS.counter_inc("repro_trust_proofs_checked_total")
         if ok:

@@ -231,10 +231,9 @@ def _portfolio_worker(task_queue, result_queue, cancel_cell,
         try:
             with TRACER.span("portfolio-rung", slot=slot,
                              mode="parallel") as span:
-                cnf = CNF(
-                    num_vars=num_vars, clauses=[list(c) for c in clauses]
-                )
-                ok = solver.add_cnf(cnf)
+                with TRACER.span("cnf-load", path="portfolio",
+                                 clauses=len(clauses)):
+                    ok = solver.add_clauses(clauses)
                 with TRACER.span("cdcl", slot=slot):
                     result = (
                         solver.solve(assumptions=assumptions) if ok

@@ -26,16 +26,15 @@ class CNF:
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause, dropping duplicate literals and tautologies."""
         clause: list[int] = []
-        seen: set[int] = set()
+        n = self.num_vars
         for lit in lits:
-            if lit == 0:
-                raise ValueError("0 is not a valid DIMACS literal")
-            if abs(lit) > self.num_vars:
+            if not lit or not -n <= lit <= n:
+                if lit == 0:
+                    raise ValueError("0 is not a valid DIMACS literal")
                 raise ValueError(f"literal {lit} references unallocated variable")
-            if -lit in seen:
+            if -lit in clause:
                 return  # tautology: p or not p
-            if lit not in seen:
-                seen.add(lit)
+            if lit not in clause:
                 clause.append(lit)
         self.clauses.append(clause)
 

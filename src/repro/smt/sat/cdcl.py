@@ -309,27 +309,32 @@ class CDCLSolver:
         self._reduce_fuel = self.config.reduce_base
         self._conflicts_at_inprocess = 0
         self._inprocessed_once = False
+        # Where an exception stopped the last add_clauses call.
+        self.load_stopped_at = 0
         self._ensure_vars(num_vars)
 
     # ----- problem construction -------------------------------------------
 
     def _ensure_vars(self, n: int) -> None:
-        while self.num_vars < n:
-            self.num_vars += 1
-            self._vals.append(0)
-            self._vals.append(0)
-            self._level.append(0)
-            self._reason.append(-1)
-            self._activity.append(0.0)
-            self._phase.append(False)
-            self._seen.append(0)
-            self._eliminated.append(0)
-            self._watches.append([])
-            self._watches.append([])
-            self._bins.append([])
-            self._bins.append([])
-            self._heap_act.append(0.0)
-            heapq.heappush(self._heap, (0.0, self.num_vars))
+        k = n - self.num_vars
+        if k <= 0:
+            return
+        first = self.num_vars + 1
+        self.num_vars = n
+        self._vals.extend([0] * (k + k))
+        self._level.extend([0] * k)
+        self._reason.extend([-1] * k)
+        self._activity.extend([0.0] * k)
+        self._phase.extend([False] * k)
+        self._seen.extend([0] * k)
+        self._eliminated.extend([0] * k)
+        self._watches.extend([] for _ in range(k + k))
+        self._bins.extend([] for _ in range(k + k))
+        self._heap_act.extend([0.0] * k)
+        # Appending in order builds the heap k heappushes would: every
+        # live key is -activity <= 0.0, and a new variable loses every
+        # tie to an older one, so no new entry ever sifts up.
+        self._heap.extend([(0.0, v) for v in range(first, n + 1)])
 
     def new_var(self) -> int:
         self._ensure_vars(self.num_vars + 1)
@@ -493,14 +498,118 @@ class CDCLSolver:
         self._attach(cid)
         return True
 
+    def add_clauses(self, clauses: Sequence[Sequence[int]],
+                    start: int = 0) -> bool:
+        """Add ``clauses[start:]``; False once the formula is trivially unsat.
+
+        Leaves exactly the state that :meth:`add_clause` on each clause
+        in turn leaves (same arena, watches, trail, heap and proof
+        steps, or the same exception at the same clause), in one pass
+        with local bindings.  The budget is polled before clause ``i``
+        whenever ``i & 0xFFF == 0xFFF``.  If an exception escapes,
+        :attr:`load_stopped_at` is the index of the clause it stopped
+        at (earlier clauses are loaded, later ones are not).  Off the
+        root, or once variables were eliminated, it falls back to
+        :meth:`add_clause` per clause, which handles reintroduction.
+        """
+        budget = self.budget
+        n = len(clauses)
+        i = start
+        # Off the root, or with eliminated variables to reintroduce.
+        per_clause = bool(self._elim_stack or self._trail_lim or not self._ok)
+        vals = self._vals
+        ar = self._ar
+        c_start = self._c_start
+        c_size = self._c_size
+        c_learnt = self._c_learnt
+        watches = self._watches
+        bins = self._bins
+        nvals = len(vals)
+
+        def flush() -> None:
+            # The constant headers of the clauses appended since the
+            # last flush (nothing on the loading path reads them).
+            k = len(c_start) - len(c_learnt)
+            if k:
+                c_learnt.extend([0] * k)
+                self._c_lbd.extend([0] * k)
+                self._c_act.extend([0.0] * k)
+                self._c_dead.extend([0] * k)
+                self._n_irr += k
+
+        try:
+            while i < n:
+                if budget is not None and (i & 0xFFF) == 0xFFF:
+                    budget.checkpoint("loading CNF into CDCL")
+                if per_clause:
+                    if not self.add_clause(clauses[i]):
+                        return False
+                    i += 1
+                    continue
+                out: list[int] = []
+                skip = False  # tautology, or true at the root
+                for lit in clauses[i]:
+                    if lit > 0:
+                        q = lit + lit
+                    elif lit:
+                        q = 1 - lit - lit
+                    else:
+                        raise ValueError("0 is not a valid literal")
+                    if q >= nvals:
+                        self._ensure_vars(q >> 1)
+                        nvals = len(vals)
+                    if skip or q in out:
+                        continue
+                    if q ^ 1 in out:
+                        skip = True
+                        continue
+                    v = vals[q]
+                    if v:
+                        skip = v > 0
+                        continue
+                    out.append(q)
+                i += 1
+                if skip:
+                    continue
+                k = len(out)
+                if k > 1:
+                    cid = len(c_start)
+                    c_start.append(len(ar))
+                    c_size.append(k)
+                    ar.extend(out)
+                    a = out[0]
+                    b = out[1]
+                    if k == 2:
+                        bins[a ^ 1].extend((b, cid))
+                        bins[b ^ 1].extend((a, cid))
+                    else:
+                        watches[a ^ 1].extend((cid, b))
+                        watches[b ^ 1].extend((cid, a))
+                    continue
+                flush()
+                if not k:
+                    self._log_empty()
+                    self._ok = False
+                    return False
+                # A unit enqueues and propagates at once, as in add_clause.
+                if not self._enqueue(out[0], -1):
+                    self._log_empty()
+                    self._ok = False
+                    return False
+                if self._propagate() >= 0:
+                    self._ok = False
+                    self._log_empty()
+                    return False
+        except BaseException:
+            self.load_stopped_at = i
+            raise
+        finally:
+            flush()
+        return True
+
     def add_cnf(self, cnf: CNF) -> bool:
         self._ensure_vars(cnf.num_vars)
-        for i, clause in enumerate(cnf.clauses):
-            if self.budget is not None and (i & 0xFFF) == 0xFFF:
-                self.budget.checkpoint("loading CNF into CDCL")
-            if not self.add_clause(clause):
-                return False
-        return True
+        return self.add_clauses(cnf.clauses)
 
     # ----- assignment / propagation ----------------------------------------
 

@@ -181,16 +181,17 @@ class _IncrementalSession:
         """Feed clauses added since the last solve into the live CDCL."""
         sat = self.sat
         sat.backtrack_to_root()
-        while sat.num_vars < self.blaster.cnf.num_vars:
-            sat.new_var()
+        sat._ensure_vars(self.blaster.cnf.num_vars)
         clauses = self.blaster.cnf.clauses
-        i = self.loaded_clauses
-        while i < len(clauses):
-            if self.budget is not None and (i & 0xFFF) == 0xFFF:
-                self.budget.checkpoint("loading CNF into CDCL (incremental)")
-            sat.add_clause(clauses[i])  # False only on root-level unsat
-            i += 1
-            self.loaded_clauses = i
+        with TRACER.span("cnf-load", path="incremental",
+                         clauses=len(clauses) - self.loaded_clauses):
+            try:
+                # False only on root-level unsat, which consumes the rest.
+                sat.add_clauses(clauses, self.loaded_clauses)
+            except BaseException:
+                self.loaded_clauses = sat.load_stopped_at
+                raise
+        self.loaded_clauses = len(clauses)
 
     @property
     def root_unsat(self) -> bool:
@@ -478,7 +479,8 @@ class SmtSolver:
         """Check an UNSAT answer's DRAT certificate.
 
         Returns None on success (with :attr:`certificate` populated) or
-        the degraded UNKNOWN answer when the proof is rejected — a
+        the degraded UNKNOWN answer when the proof is rejected, or with
+        the budget's reason when the check runs out of budget — a
         certified run never reports an UNSAT it cannot replay.
         """
         cert = Certificate(
@@ -490,9 +492,13 @@ class SmtSolver:
         monkey = self._chaos
         if monkey is not None:
             monkey.corrupt_proof(cert)
-        with TRACER.span("proof-check", steps=len(cert.steps),
-                         clauses=len(cert.clauses)):
-            ok = cert.verify()
+        try:
+            with TRACER.span("proof-check", steps=len(cert.steps),
+                             clauses=len(cert.clauses)):
+                ok = cert.verify(self.budget)
+        except BudgetExhausted as exc:
+            # Out of budget mid-check: the UNSAT is unchecked, not wrong.
+            return self._exhausted(exc.report, self.stats)
         self._proofs_checked += 1
         if METRICS.enabled:
             METRICS.counter_inc("repro_trust_proofs_checked_total")
@@ -573,7 +579,9 @@ class SmtSolver:
                 )
                 last_sat = sat
                 try:
-                    ok = sat.add_cnf(blaster.cnf)
+                    with TRACER.span("cnf-load", path="oneshot",
+                                     clauses=len(blaster.cnf.clauses)):
+                        ok = sat.add_cnf(blaster.cnf)
                 except BudgetExhausted as exc:
                     return _SolveOutcome(
                         SatResult.UNKNOWN, stats=sat.stats,
@@ -764,8 +772,9 @@ class SmtSolver:
         The checker persists across calls; only clauses and proof steps
         that appeared since the last certification are replayed, then
         the core (or root refutation) is checked.  A rejected proof
-        degrades the answer exactly like the one-shot path; the checker
-        is discarded so the next certification rebuilds from scratch.
+        degrades the answer exactly like the one-shot path, as does
+        running out of budget mid-check; either way the checker is
+        discarded so the next certification rebuilds from scratch.
         """
         monkey = self._chaos
         corrupt = monkey is not None and monkey.fires("proof_corrupt")
@@ -783,12 +792,16 @@ class SmtSolver:
                     chk = DratChecker(0)
                     inc.checked_clauses = 0
                     inc.checked_steps = 0
-                while inc.checked_clauses < len(clauses):
-                    chk.add_clause(clauses[inc.checked_clauses])
-                    inc.checked_clauses += 1
-                while inc.checked_steps < len(steps):
-                    chk.apply_step(steps[inc.checked_steps])
-                    inc.checked_steps += 1
+                with TRACER.span("drat-load", path="incremental",
+                                 clauses=len(clauses) - inc.checked_clauses):
+                    chk.add_clauses(
+                        clauses[inc.checked_clauses:], self.budget)
+                inc.checked_clauses = len(clauses)
+                with TRACER.span("drat-replay", path="incremental",
+                                 steps=len(steps) - inc.checked_steps):
+                    chk.apply_steps(
+                        steps[inc.checked_steps:], self.budget)
+                inc.checked_steps = len(steps)
                 inc.checker = chk
                 if corrupt:
                     # Chaos: feed a deterministically non-RUP step (a
@@ -807,6 +820,11 @@ class SmtSolver:
                 inc.checker = None  # suspect state: rebuild next time
                 ok = False
                 error = str(exc)
+            except BudgetExhausted as exc:
+                # Out of budget mid-check: the UNSAT is unchecked, not
+                # wrong.  The checker may be half-fed: rebuild next time.
+                inc.checker = None
+                return self._exhausted(exc.report, self.stats)
         self._proofs_checked += 1
         if METRICS.enabled:
             METRICS.counter_inc("repro_trust_proofs_checked_total")

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from ..obs import TRACER
+
 if TYPE_CHECKING:  # duck-typed, mirroring the solver's Budget handling
     from ...runtime.budget import Budget
 
@@ -67,7 +69,11 @@ class DratChecker:
         self.refuted = False
         self._value: list[int] = [0]   # 1-indexed: +1 true, -1 false, 0 free
         self._watches: dict[int, list[_CClause]] = {}
-        self._by_key: dict[tuple[int, ...], list[_CClause]] = {}
+        # Deletion index (sorted literals -> records, oldest first),
+        # built on the first deletion from ``_recs``, every record in
+        # insertion order; most proofs never delete.
+        self._recs: list[_CClause] = []
+        self._by_key: Optional[dict[tuple[int, ...], list[_CClause]]] = None
         self._trail: list[int] = []
         self._qhead = 0
         self._ensure_vars(num_vars)
@@ -195,43 +201,83 @@ class DratChecker:
         that is the rejection path for corrupted or bogus proofs.
         """
         clause = tuple(lits)
-        for lit in clause:
-            if lit == 0:
-                raise DratError("0 is not a valid literal")
-            self._ensure_vars(abs(lit))
-        if check and not self._rup(clause):
-            raise DratError(f"proof step is not RUP: {list(clause)}")
-        rec = _CClause(clause)
-        self._by_key.setdefault(tuple(sorted(clause)), []).append(rec)
-        if self.refuted:
-            return
-        distinct = tuple(dict.fromkeys(clause))
-        lit_set = set(distinct)
-        if any(-l in lit_set for l in distinct):
-            return  # tautology: permanently satisfied, never watched
-        if any(self._val(l) > 0 for l in distinct):
-            return  # satisfied by a persistent root literal forever
-        free = [l for l in distinct if self._val(l) == 0]
-        if not free:
-            self.refuted = True  # all literals false at the root
-            return
-        if len(free) == 1:
-            # Unit under the root assignment: extend the persistent
-            # closure; once true, the clause never needs watching.
-            self._assign(free[0])
-            if self._propagate():
-                self.refuted = True
-            return
-        rec.watch = (free[0], free[1])
-        self._watches.setdefault(free[0], []).append(rec)
-        self._watches.setdefault(free[1], []).append(rec)
+        if check:
+            for lit in clause:
+                if lit == 0:
+                    raise DratError("0 is not a valid literal")
+                self._ensure_vars(abs(lit))
+            if not self._rup(clause):
+                raise DratError(f"proof step is not RUP: {list(clause)}")
+        self.add_clauses((clause,))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]],
+                    budget: Optional["Budget"] = None) -> None:
+        """Install clauses unchecked, in one pass with local bindings.
+
+        Every clause gets a record for later deletions.  Duplicate
+        literals count once; a tautology or a clause true at the root is
+        never watched, a unit extends the root assignment, and a clause
+        false at the root refutes the set.  ``budget`` is polled before
+        clause ``i`` whenever ``i & 0xFFF == 0xFFF``.
+        """
+        value = self._value
+        watches = self._watches
+        recs = self._recs if self._by_key is None else None
+        nvals = len(value)
+        for i, lits in enumerate(clauses):
+            if budget is not None and (i & 0xFFF) == 0xFFF:
+                budget.checkpoint("DRAT check: loading CNF")
+            clause = tuple(lits)
+            for lit in clause:
+                v = lit if lit > 0 else -lit
+                if v >= nvals:
+                    self._ensure_vars(v)
+                    nvals = len(value)
+                elif not v:
+                    raise DratError("0 is not a valid literal")
+            rec = _CClause(clause)
+            if recs is not None:
+                recs.append(rec)
+            else:
+                self._by_key.setdefault(tuple(sorted(clause)), []).append(rec)
+            if self.refuted:
+                continue
+            # Unwatched when a literal is true at the root or the clause
+            # is a tautology; otherwise its distinct free literals decide.
+            free: list[int] = []
+            for lit in clause:
+                v = value[lit] if lit > 0 else -value[-lit]
+                if v > 0 or (not v and -lit in free):
+                    break
+                if not v and lit not in free:
+                    free.append(lit)
+            else:
+                if len(free) > 1:
+                    rec.watch = (free[0], free[1])
+                    watches.setdefault(free[0], []).append(rec)
+                    watches.setdefault(free[1], []).append(rec)
+                elif free:
+                    # Unit under the root assignment: extend the
+                    # persistent closure; once true it needs no watch.
+                    self._assign(free[0])
+                    if self._propagate():
+                        self.refuted = True
+                else:
+                    self.refuted = True  # all literals false at the root
 
     def delete_clause(self, lits: Iterable[int]) -> None:
         """Retire one instance of the clause from propagation.
 
-        Unknown deletions are ignored: removing clauses can only weaken
-        the set, so leniency here cannot make an invalid proof pass.
+        The most recently added live instance goes, whether the index
+        was built just now or kept since an earlier deletion.  Unknown
+        deletions are ignored: removing clauses can only weaken the
+        set, so leniency here cannot make an invalid proof pass.
         """
+        if self._by_key is None:
+            self._by_key = {}
+            for rec in self._recs:
+                self._by_key.setdefault(tuple(sorted(rec.lits)), []).append(rec)
+            self._recs = []
         key = tuple(sorted(lits))
         recs = self._by_key.get(key)
         if not recs:
@@ -250,6 +296,14 @@ class DratChecker:
         else:
             raise DratError(f"unknown proof step kind {kind!r}")
 
+    def apply_steps(self, steps: Iterable[tuple[str, tuple[int, ...]]],
+                    budget: Optional["Budget"] = None) -> None:
+        """Replay proof steps; ``budget`` is polled every 256 steps."""
+        for i, step in enumerate(steps):
+            if budget is not None and (i & 0xFF) == 0xFF:
+                budget.checkpoint("DRAT check: replaying proof")
+            self.apply_step(step)
+
 
 def check_drat(
     num_vars: int,
@@ -266,14 +320,10 @@ def check_drat(
     can answer further assumption queries on the same formula).
     """
     checker = DratChecker(num_vars)
-    for i, clause in enumerate(clauses):
-        if budget is not None and (i & 0xFFF) == 0xFFF:
-            budget.checkpoint("DRAT check: loading CNF")
-        checker.add_clause(clause)
-    for i, step in enumerate(steps):
-        if budget is not None and (i & 0xFF) == 0xFF:
-            budget.checkpoint("DRAT check: replaying proof")
-        checker.apply_step(step)
+    with TRACER.span("drat-load", clauses=len(clauses)):
+        checker.add_clauses(clauses, budget)
+    with TRACER.span("drat-replay", steps=len(steps)):
+        checker.apply_steps(steps, budget)
     if core:
         if not checker.assumptions_conflict(core):
             raise DratError(

@@ -5,6 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler.symexec import EncodeConfig
+from repro.runtime.budget import (
+    BudgetExhausted,
+    ExhaustionReason,
+    ResourceReport,
+)
 from repro.netmodels.schedulers import (
     fq_buggy,
     fq_fixed,
@@ -37,3 +42,17 @@ def fq2_fixed():
 def small_config():
     """A compact encoding configuration used across backend tests."""
     return EncodeConfig(buffer_capacity=4, arrivals_per_step=2)
+
+
+class PollBudget:
+    """A duck-typed budget that runs out at its ``n``-th poll."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.polls = 0
+
+    def checkpoint(self, context: str = "") -> None:
+        self.polls += 1
+        if self.polls >= self.n:
+            raise BudgetExhausted(ResourceReport(
+                reason=ExhaustionReason.DEADLINE, message=context))

@@ -1,13 +1,16 @@
 """Tests for the CDCL and DPLL SAT engines."""
 
+import copy
+import heapq
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, BudgetExhausted
 from repro.smt.cnf import CNF, check_assignment
 from repro.smt.sat import cdcl
 from repro.smt.sat.cdcl import (
@@ -20,6 +23,7 @@ from repro.smt.sat.cdcl import (
 from repro.smt.sat.dpll import DPLLSolver, solve_cnf_dpll
 from repro.trust import check_drat
 from repro.trust.proof import ProofLog
+from tests.conftest import PollBudget
 
 
 def brute_force_sat(cnf: CNF) -> bool:
@@ -404,3 +408,168 @@ class TestRental:
         resumed.restore_state(state)
         assert resumed.solve() is SatResult.UNSAT
         assert solver.solve() is SatResult.UNSAT
+
+
+# ----- the bulk clause loader -------------------------------------------------
+
+#: Everything loading can touch, compared between the two loaders.
+_LOAD_STATE = (
+    "num_vars", "_ar", "_c_start", "_c_size", "_c_learnt", "_c_lbd",
+    "_c_act", "_c_dead", "_watches", "_bins", "_vals", "_trail",
+    "_trail_lim", "_qhead", "_level", "_reason", "_activity", "_phase",
+    "_seen", "_eliminated", "_elim_stack", "_heap", "_heap_act", "_n_irr",
+    "_n_learnt", "_free_lits", "_ok", "stats",
+)
+
+_BULK_VARS = 6
+
+
+def _load_state(solver: CDCLSolver) -> dict:
+    state = {name: copy.deepcopy(getattr(solver, name))
+             for name in _LOAD_STATE}
+    state["proof"] = list(solver.proof.steps)
+    return state
+
+
+def _add_one_by_one(solver: CDCLSolver, clauses, start: int = 0):
+    """The per-clause loading loop the bulk loader replaces."""
+    for i in range(start, len(clauses)):
+        if solver.budget is not None and (i & 0xFFF) == 0xFFF:
+            solver.budget.checkpoint("loading CNF into CDCL")
+        if not solver.add_clause(clauses[i]):
+            return False
+    return True
+
+
+def _outcome(load):
+    try:
+        return load()
+    except (ValueError, BudgetExhausted) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_literal = st.integers(min_value=-(_BULK_VARS + 3),
+                       max_value=_BULK_VARS + 3).filter(bool)
+#: Units, duplicates, tautologies, literals above num_vars and the
+#: empty clause all come up; ``zero`` optionally plants a literal 0.
+_bulk_case = st.fixed_dictionaries({
+    "clauses": st.lists(st.lists(_literal, max_size=5), max_size=30),
+    "start": st.integers(min_value=0, max_value=30),
+    "zero": st.none() | st.tuples(st.integers(min_value=0),
+                                  st.integers(min_value=0)),
+    "setup": st.sampled_from(["fresh", "preamble", "eliminated",
+                              "off-root"]),
+})
+
+
+def _bulk_solver(setup: str) -> CDCLSolver:
+    """Two calls with the same ``setup`` build identical solvers."""
+    solver = CDCLSolver(_BULK_VARS, proof=ProofLog())
+    if setup in ("preamble", "off-root"):
+        for clause in ([1, 2, 3], [-1], [4, -5], [2, -3, 6]):
+            solver.add_clause(clause)
+        if setup == "off-root":
+            # A SAT answer under an assumption stays above the root.
+            assert solver.solve([5]) is SatResult.SAT
+            assert solver._trail_lim
+    elif setup == "eliminated":
+        rng = random.Random(0)
+        config = CDCLConfig(use_inprocessing=True, inprocess_interval=4,
+                            reduce_base=8, restart_base=4)
+        solver = CDCLSolver(8, config, proof=ProofLog())
+        for _ in range(20):
+            solver.add_clause([rng.choice([1, -1]) * rng.randint(1, 8)
+                               for _ in range(3)])
+        with mock.patch.object(cdcl, "RENTAL_PROPAGATIONS", 0):
+            assert solver.solve() is SatResult.SAT
+        assert solver._elim_stack  # every variable was eliminated
+        solver.backtrack_to_root()
+    return solver
+
+
+class TestBulkLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(_bulk_case)
+    def test_bulk_load_equals_clause_by_clause(self, case):
+        clauses = [list(c) for c in case["clauses"]]
+        if case["zero"] is not None and clauses:
+            at, pos = case["zero"]
+            clause = clauses[at % len(clauses)]
+            clause.insert(pos % (len(clause) + 1), 0)
+        start = min(case["start"], len(clauses))
+        bulk = _bulk_solver(case["setup"])
+        ref = _bulk_solver(case["setup"])
+        got = _outcome(lambda: bulk.add_clauses(clauses, start))
+        want = _outcome(lambda: _add_one_by_one(ref, clauses, start))
+        assert got == want
+        assert _load_state(bulk) == _load_state(ref)
+        if isinstance(want, tuple):  # raised: both stopped at one clause
+            stop = next(i for i in range(start, len(clauses))
+                        if 0 in clauses[i])
+            assert bulk.load_stopped_at == stop
+
+    def test_add_cnf_loads_through_the_bulk_loader(self):
+        cnf = pigeonhole(4, 3)
+        solver = CDCLSolver()
+        with mock.patch.object(CDCLSolver, "add_clause") as per_clause:
+            assert solver.add_cnf(cnf)
+        per_clause.assert_not_called()
+        assert solver.num_vars == cnf.num_vars
+        assert solver._n_irr == len(cnf.clauses)
+
+    @pytest.mark.parametrize("polls", [1, 2, 3])
+    def test_budget_runs_out_at_the_same_clause(self, polls):
+        rng = random.Random(polls)
+        clauses = [[rng.choice([1, -1]) * v
+                    for v in rng.sample(range(1, 301), rng.randint(2, 3))]
+                   for _ in range(3 * 4096 + 10)]
+        bulk = CDCLSolver(300, proof=ProofLog(), budget=PollBudget(polls))
+        ref = CDCLSolver(300, proof=ProofLog(), budget=PollBudget(polls))
+        with pytest.raises(BudgetExhausted):
+            bulk.add_clauses(clauses)
+        with pytest.raises(BudgetExhausted):
+            _add_one_by_one(ref, clauses)
+        assert bulk.load_stopped_at == polls * 4096 - 1
+        assert bulk._n_irr == bulk.load_stopped_at
+        assert _load_state(bulk) == _load_state(ref)
+
+    def test_interrupted_incremental_load_resumes_where_it_stopped(self):
+        from repro.smt.intervals import BoundsEnv, Interval
+        from repro.smt.solver import _IncrementalSession
+
+        def session(budget):
+            inc = _IncrementalSession(BoundsEnv(default=Interval(0, 1)),
+                                      None, budget, proof=ProofLog())
+            cnf = inc.blaster.cnf
+            rng = random.Random(7)
+            for _ in range(300):
+                cnf.new_var()
+            for _ in range(5000):
+                cnf.add_clause([rng.choice([1, -1]) * v for v in
+                                rng.sample(range(2, 302), 2)])
+            return inc
+
+        interrupted = session(PollBudget(1))
+        with pytest.raises(BudgetExhausted):
+            interrupted._load_clauses()
+        assert interrupted.loaded_clauses == 4095
+        interrupted.sat.budget = None
+        interrupted._load_clauses()
+        whole = session(None)
+        whole._load_clauses()
+        # 5000 clauses after the blaster's unit for its constant-true var.
+        assert interrupted.loaded_clauses == whole.loaded_clauses == 5001
+        assert _load_state(interrupted.sat) == _load_state(whole.sat)
+
+    def test_growing_the_variables_builds_the_pushed_heap(self):
+        solver = _solver(pigeonhole(5, 4))
+        assert solver.solve() is SatResult.UNSAT
+        assert any(a > 0 for a in solver._activity)
+        pushed = list(solver._heap)
+        first = solver.num_vars + 1
+        for v in range(first, first + 7):
+            heapq.heappush(pushed, (0.0, v))
+        solver._ensure_vars(first + 6)
+        assert solver._heap == pushed
+        assert len(solver._vals) == 2 * solver.num_vars + 2
+        assert len(solver._watches) == len(solver._bins) == len(solver._vals)

@@ -8,10 +8,14 @@ is checked against the naive DPLL solver on random CNFs:
 * every UNSAT answer carries a DRAT proof the independent checker
   replays (the ``--certify`` path), with inprocessing both on and off.
 
-These instances settle in a handful of propagations, far inside the
-rental that lets short solves skip the first inprocessing round, so
-the inprocessing configuration also runs with the rental price at 0
+The small random CNFs settle in a handful of propagations, far inside
+the rental that lets short solves skip the first inprocessing round,
+so the inprocessing configuration also runs with the rental price at 0
 (the round before search); that is what keeps elimination covered.
+Unit propagation settles most of them without a conflict, so the
+agreement and DRAT tests also draw random 3-SAT at the phase
+transition (about 4.26 clauses per variable), which needs conflicts,
+learning and learned-clause deletions.
 """
 
 import random
@@ -69,11 +73,32 @@ def _random_cnf(n_vars: int, n_clauses: int, seed: int) -> CNF:
     return cnf
 
 
+def _random_3sat(n_vars: int, seed: int) -> CNF:
+    """Random 3-SAT at the satisfiability threshold (ratio 4.26)."""
+    rng = random.Random(seed)
+    cnf = CNF(num_vars=n_vars)
+    for _ in range(round(4.26 * n_vars)):
+        cnf.add_clause([
+            rng.choice([1, -1]) * v
+            for v in rng.sample(range(1, n_vars + 1), 3)
+        ])
+    return cnf
+
+
+#: 10-20 variables keep DPLL cheap at the threshold.
+threshold_shapes = st.tuples(
+    st.integers(min_value=10, max_value=20),   # variables
+    st.integers(min_value=0, max_value=2**32 - 1),  # rng seed
+)
+random_cnfs = st.one_of(
+    cnf_shapes.map(lambda shape: _random_cnf(*shape)),
+    threshold_shapes.map(lambda shape: _random_3sat(*shape)),
+)
+
+
 @settings(max_examples=120, deadline=None)
-@given(cnf_shapes)
-def test_cdcl_agrees_with_dpll(shape):
-    n_vars, n_clauses, seed = shape
-    cnf = _random_cnf(n_vars, n_clauses, seed)
+@given(random_cnfs)
+def test_cdcl_agrees_with_dpll(cnf):
     ref_result, _ = solve_cnf_dpll(cnf)
     for config, price in SETUPS:
         with _priced(price):
@@ -86,10 +111,8 @@ def test_cdcl_agrees_with_dpll(shape):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cnf_shapes)
-def test_unsat_answers_carry_checkable_drat_proofs(shape):
-    n_vars, n_clauses, seed = shape
-    cnf = _random_cnf(n_vars, n_clauses, seed)
+@given(random_cnfs)
+def test_unsat_answers_carry_checkable_drat_proofs(cnf):
     ref_result, _ = solve_cnf_dpll(cnf)
     if ref_result is not SatResult.UNSAT:
         return
@@ -133,6 +156,30 @@ def test_agreement_under_assumptions(shape, pivot):
             assert check_assignment(strengthened, model)
         else:
             assert lit in solver.unsat_assumptions() or solver._ok is False
+
+
+def test_threshold_3sat_learns_and_deletes():
+    """Guard: the threshold instances reach learning and proof deletions.
+
+    A fixed-seed sample from ``threshold_shapes``, solved under every
+    setup with a proof log; the DRAT tests above are what check the
+    deletions against the checker's deletion index.
+    """
+    rng = random.Random(0)
+    conflicts = learned = deletions = 0
+    for _ in range(20):
+        cnf = _random_3sat(rng.randint(10, 20), rng.randrange(2**32))
+        for config, price in SETUPS:
+            proof = ProofLog()
+            solver = CDCLSolver(cnf.num_vars, config, proof=proof)
+            if not solver.add_cnf(cnf):
+                continue
+            with _priced(price):
+                solver.solve()
+            conflicts += solver.stats.conflicts
+            learned += solver.stats.learned
+            deletions += sum(1 for kind, _ in proof.steps if kind == "d")
+    assert conflicts > 0 and learned > 0 and deletions > 0
 
 
 def test_aggressive_setup_still_runs_inprocessing_rounds():

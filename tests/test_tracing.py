@@ -117,6 +117,66 @@ class TestIncrementalEncodeSpan:
             assert parent.attrs["path"] == "incremental"
 
 
+class TestLoadSpans:
+    """Every CDCL load and every proof check's two halves get a span."""
+
+    @staticmethod
+    def _unsat(solver):
+        from repro.smt.terms import mk_bool_var, mk_not, mk_or
+
+        x, y = mk_bool_var("load.x"), mk_bool_var("load.y")
+        solver.add(mk_or(x, y), mk_or(x, mk_not(y)), mk_or(mk_not(x), y),
+                   mk_or(mk_not(x), mk_not(y)))
+
+    @pytest.mark.parametrize("path,jobs,incremental", [
+        ("oneshot", 1, False),
+        ("portfolio", 2, False),
+        ("incremental", 1, True),
+    ])
+    def test_cnf_load_span_per_path(self, path, jobs, incremental):
+        from repro.engine.options import EngineOptions
+        from repro.smt.solver import CheckResult, SmtSolver
+
+        obs.enable()
+        solver = SmtSolver(incremental=incremental,
+                           options=EngineOptions(jobs=jobs, certify=True))
+        self._unsat(solver)
+        assert solver.check() is CheckResult.UNSAT
+        loads = [r for r in TRACER.records if r.name == "cnf-load"]
+        assert loads and {r.attrs["path"] for r in loads} == {path}
+        assert sum(r.attrs["clauses"] for r in loads) == (
+            solver.stats.cnf_clauses * len(loads))
+        if path != "portfolio":
+            by_id = {r.span_id: r for r in TRACER.records}
+            (load,) = loads
+            parent = by_id[load.parent_id]
+            assert parent.name == ("bitblast" if incremental
+                                   else "portfolio-rung")
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_proof_check_splits_loading_from_replay(self, incremental):
+        from repro.engine.options import EngineOptions
+        from repro.smt.solver import CheckResult, SmtSolver
+
+        obs.enable()
+        solver = SmtSolver(incremental=incremental,
+                           options=EngineOptions(jobs=1, certify=True))
+        self._unsat(solver)
+        assert solver.check() is CheckResult.UNSAT
+        assert solver.certificate is not None
+        by_id = {r.span_id: r for r in TRACER.records}
+        (check,) = [r for r in TRACER.records if r.name == "proof-check"]
+        children = {r.name: r for r in TRACER.records
+                    if r.parent_id == check.span_id}
+        assert set(children) == {"drat-load", "drat-replay"}
+        assert children["drat-load"].attrs["clauses"] == (
+            solver.stats.cnf_clauses)
+        assert children["drat-replay"].attrs["steps"] == (
+            len(solver.certificate.steps))
+        assert all(by_id[c.parent_id] is check for c in children.values())
+        assert sum(c.wall for c in children.values()) <= check.wall
+
+
 # ----- serve: request path, trace + progress endpoints -----------------------
 
 

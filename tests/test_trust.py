@@ -9,17 +9,24 @@ entry or a crashed portfolio worker degrades the answer (or heals the
 pool) instead of producing a wrong or missing verdict.
 """
 
+import random
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.facade import analyze
 from repro.analysis.result import EXIT_CERTIFICATION, Verdict
+from repro.backends.dafny import DafnyBackend
 from repro.backends.smt_backend import SmtBackend, Status
 from repro.compiler.symexec import EncodeConfig
 from repro.engine.cache import ResultCache
 from repro.engine.options import EngineOptions
 from repro.engine.parallel import PortfolioPool
 from repro.netmodels.schedulers import fq_buggy, round_robin, strict_priority
-from repro.runtime.budget import ExhaustionReason
+from repro.runtime.budget import Budget, BudgetExhausted, ExhaustionReason
 from repro.runtime.chaos import inject_faults
 from repro.smt.cnf import CNF
 from repro.smt.sat.cdcl import CDCLSolver, SatResult
@@ -32,6 +39,8 @@ from repro.smt.terms import (
     mk_or,
 )
 from repro.trust import Certificate, DratChecker, DratError, ProofLog, check_drat
+from repro.trust import drat
+from tests.conftest import PollBudget
 
 N, T = 2, 4
 CONFIG = EncodeConfig(buffer_capacity=5, arrivals_per_step=2)
@@ -155,6 +164,234 @@ class TestDratChecker:
         )
         assert not bad.verify() and not bad.verified
         assert bad.error
+
+
+# ----- the checker's bulk loader ----------------------------------------------
+
+_CHK_VARS = 6
+_chk_literal = st.integers(min_value=-(_CHK_VARS + 3),
+                           max_value=_CHK_VARS + 3).filter(bool)
+_chk_clauses = st.lists(st.lists(_chk_literal, max_size=5), max_size=30)
+
+
+def _recorded_class(made: list):
+    """A checker record class that appends every instance to ``made``."""
+
+    class Recorded(drat._CClause):
+        __slots__ = ()
+
+        def __init__(self, lits):
+            super().__init__(lits)
+            made.append(self)
+
+    return Recorded
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """Every checker record made while the test runs, in creation order."""
+    made = []
+    monkeypatch.setattr(drat, "_CClause", _recorded_class(made))
+    return made
+
+
+def _checker_state(chk: DratChecker) -> dict:
+    return {
+        "num_vars": chk.num_vars,
+        "refuted": chk.refuted,
+        "value": list(chk._value),
+        "trail": list(chk._trail),
+        "qhead": chk._qhead,
+        "watches": {lit: [(r.lits, r.watch, r.deleted) for r in recs]
+                    for lit, recs in chk._watches.items()},
+    }
+
+
+def _reference_add(chk: DratChecker, lits) -> None:
+    """Install one clause the way the checker did before bulk loading."""
+    clause = tuple(lits)
+    for lit in clause:
+        if lit == 0:
+            raise DratError("0 is not a valid literal")
+        chk._ensure_vars(abs(lit))
+    rec = drat._CClause(clause)
+    if chk._by_key is None:
+        chk._recs.append(rec)
+    else:
+        chk._by_key.setdefault(tuple(sorted(clause)), []).append(rec)
+    if chk.refuted:
+        return
+    distinct = tuple(dict.fromkeys(clause))
+    if any(-l in distinct for l in distinct):
+        return  # tautology
+    if any(chk._val(l) > 0 for l in distinct):
+        return  # true at the root
+    free = [l for l in distinct if chk._val(l) == 0]
+    if not free:
+        chk.refuted = True
+    elif len(free) == 1:
+        chk._assign(free[0])
+        if chk._propagate():
+            chk.refuted = True
+    else:
+        rec.watch = (free[0], free[1])
+        chk._watches.setdefault(free[0], []).append(rec)
+        chk._watches.setdefault(free[1], []).append(rec)
+
+
+def _load_one_by_one(chk: DratChecker, clauses, budget=None) -> None:
+    """The per-clause loading loop the bulk loader replaces."""
+    for i, clause in enumerate(clauses):
+        if budget is not None and (i & 0xFFF) == 0xFFF:
+            budget.checkpoint("DRAT check: loading CNF")
+        _reference_add(chk, clause)
+
+
+def _raised(load):
+    try:
+        load()
+    except (DratError, BudgetExhausted) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestCheckerBulkLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(_chk_clauses, st.none() | st.tuples(st.integers(min_value=0),
+                                                st.integers(min_value=0)))
+    def test_bulk_load_equals_clause_by_clause(self, clauses, zero):
+        clauses = [list(c) for c in clauses]
+        if zero is not None and clauses:
+            clause = clauses[zero[0] % len(clauses)]
+            clause.insert(zero[1] % (len(clause) + 1), 0)
+        bulk, ref = DratChecker(_CHK_VARS), DratChecker(_CHK_VARS)
+        assert (_raised(lambda: bulk.add_clauses(clauses))
+                == _raised(lambda: _load_one_by_one(ref, clauses)))
+        assert _checker_state(bulk) == _checker_state(ref)
+        assert ([r.lits for r in bulk._recs]
+                == [r.lits for r in ref._recs])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_chk_clauses, st.data())
+    def test_lazy_index_retires_the_same_instances(self, clauses, data):
+        made = []
+        with mock.patch.object(drat, "_CClause", _recorded_class(made)):
+            lazy = DratChecker(_CHK_VARS)
+            lazy.add_clauses(clauses)
+            lazy_recs = list(made)
+            made.clear()
+            # An unknown deletion first builds the (empty) index, so
+            # every later addition goes straight into it: the eager
+            # index the lazy one must reproduce.
+            eager = DratChecker(_CHK_VARS)
+            eager.delete_clause(())
+            _load_one_by_one(eager, clauses)
+            eager_recs = list(made)
+            made.clear()
+            ops = data.draw(st.lists(st.one_of(
+                st.tuples(st.just("orig"), st.integers(min_value=0),
+                          st.randoms(use_true_random=False)),
+                st.tuples(st.just("unknown"), st.lists(_chk_literal,
+                                                       max_size=4)),
+                st.tuples(st.just("add"), st.lists(_chk_literal,
+                                                   max_size=4)),
+            ), max_size=40))
+            for op in ops:
+                if op[0] == "orig":
+                    if not clauses:
+                        continue
+                    # A repeated key, possibly with its literals permuted.
+                    lits = list(clauses[op[1] % len(clauses)])
+                    op[2].shuffle(lits)
+                    lazy.delete_clause(lits)
+                    eager.delete_clause(lits)
+                elif op[0] == "unknown":
+                    lazy.delete_clause(op[1])
+                    eager.delete_clause(op[1])
+                else:
+                    lazy.add_clause(op[1])
+                    eager.add_clause(op[1])
+            lazy_recs += made[0::2]
+            eager_recs += made[1::2]
+        assert ([r.deleted for r in lazy_recs]
+                == [r.deleted for r in eager_recs])
+        assert _checker_state(lazy) == _checker_state(eager)
+
+    @pytest.mark.parametrize("polls", [1, 2])
+    def test_budget_runs_out_at_the_same_clause(self, records, polls):
+        rng = random.Random(polls)
+        clauses = [[rng.choice([1, -1]) * v
+                    for v in rng.sample(range(1, 301), rng.randint(2, 3))]
+                   for _ in range(2 * 4096 + 10)]
+        bulk, ref = DratChecker(300), DratChecker(300)
+        with pytest.raises(BudgetExhausted):
+            bulk.add_clauses(clauses, PollBudget(polls))
+        loaded = len(records)
+        with pytest.raises(BudgetExhausted):
+            _load_one_by_one(ref, clauses, PollBudget(polls))
+        assert loaded == len(records) - loaded == polls * 4096 - 1
+        assert _checker_state(bulk) == _checker_state(ref)
+
+    def test_check_drat_loads_the_cnf_in_one_call(self):
+        cnf = pigeonhole(4)
+        _, result, proof = solve_with_proof(cnf)
+        assert result is SatResult.UNSAT
+        with mock.patch.object(DratChecker, "add_clauses", autospec=True,
+                               side_effect=DratChecker.add_clauses) as bulk:
+            check_drat(cnf.num_vars, cnf.clauses, list(proof.steps))
+        # One call for the CNF, then one per proof addition.
+        (first, *steps) = bulk.call_args_list
+        assert list(first.args[1]) == cnf.clauses
+        assert len(steps) == sum(1 for k, _ in proof.steps if k == "a")
+
+
+class TestCertificationBudget:
+    """A deadline that runs out inside the proof check answers UNKNOWN."""
+
+    @staticmethod
+    def _late_clock(monkeypatch):
+        """A budget whose deadline passes once the checker starts loading."""
+        now = [0.0]
+        load = DratChecker.add_clauses
+
+        def late_load(self, clauses, budget=None):
+            now[0] = 100.0
+            return load(self, clauses, budget)
+
+        monkeypatch.setattr(DratChecker, "add_clauses", late_load)
+        return Budget(deadline_seconds=10.0, clock=lambda: now[0])
+
+    @staticmethod
+    def _wide_unsat(solver: SmtSolver) -> None:
+        # Over 4096 clauses, so the checker polls the budget while loading.
+        x = mk_bool_var("x")
+        for i in range(4200):
+            solver.add(mk_or(mk_bool_var(f"a{i}"), mk_bool_var(f"b{i}")))
+        solver.add(x)
+        solver.add(mk_not(x))
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_solver_answers_unknown_deadline(self, monkeypatch, incremental):
+        budget = self._late_clock(monkeypatch)
+        solver = SmtSolver(incremental=incremental, budget=budget,
+                           options=EngineOptions.resolve(certify=True))
+        self._wide_unsat(solver)
+        assert solver.check() is CheckResult.UNKNOWN
+        assert solver.last_report.reason is ExhaustionReason.DEADLINE
+        assert solver.certificate is None
+        assert solver.last_report.proofs_failed == 0
+
+    def test_parallel_vc_certificate_reports_the_deadline(self, monkeypatch):
+        budget = self._late_clock(monkeypatch)
+        backend = DafnyBackend(fq_buggy(N), config=CONFIG, budget=budget)
+        budget.start()
+        cnf = CNF(num_vars=4200)
+        cnf.add_clauses([[v, v + 1] for v in range(1, 4200)])
+        cnf.add_clauses([[1], [-1]])
+        slot = SimpleNamespace(proof=[], core=())
+        report = backend._certify_slot(SimpleNamespace(cnf=cnf), slot, "vc")
+        assert report is not None
+        assert report.reason is ExhaustionReason.DEADLINE
 
 
 # ----- certified answers on the seed machines --------------------------------
