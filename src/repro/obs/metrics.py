@@ -59,6 +59,8 @@ _HELP: dict[str, str] = {
         "Solves that searched before the first inprocessing round.",
     "repro_cdcl_rollbacks_total":
         "Rentals rolled back to run the first inprocessing round.",
+    "repro_cdcl_vivify_propagations_total":
+        "Propagations spent in clause vivification.",
     "repro_solver_checks_total": "SmtSolver.check() calls, by result.",
     "repro_vcs_total": "Verification conditions discharged.",
     # incremental engine

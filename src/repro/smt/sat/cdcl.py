@@ -83,7 +83,7 @@ CDCL_OPTION_HELP = {
     "elim_occ_limit": "skip elimination of vars with more occurrences",
     "elim_growth": "max extra clauses an elimination may add",
     "elim_lit_limit": "skip resolvents longer than this",
-    "vivify_ticks": "propagation budget per vivification round",
+    "vivify_ticks": "cap on propagations per vivification round",
 }
 
 
@@ -187,6 +187,16 @@ def _coerce_option(name: str, type_str: str, raw: object):
 #: most this much extra before rolling back to the search it would have
 #: run anyway.
 RENTAL_PROPAGATIONS = 5_000
+
+#: A vivification round is sized by the search it follows, as in
+#: CaDiCaL and Kissat: it may spend ``VIVIFY_EFFORT`` times the search
+#: propagations since the previous round, at least ``VIVIFY_FLOOR`` and
+#: at most ``CDCLConfig.vivify_ticks``.  Sized on the Fig-6 VCs: a
+#: fixed 120k budget spent most of a short solve vivifying (a T=2 VC:
+#: ~65k of ~80k propagations), while a smaller share (0.3) or a lower
+#: floor (3k) took 12-24% more conflicts than that at T=4 or T=5.
+VIVIFY_EFFORT = 0.5
+VIVIFY_FLOOR = 5_000
 
 
 def _luby(i: int) -> int:
@@ -308,6 +318,10 @@ class CDCLSolver:
         self._conflicts_at_reduce = 0
         self._reduce_fuel = self.config.reduce_base
         self._conflicts_at_inprocess = 0
+        # Lifetime propagations when the last round ended: the search
+        # effort since then sizes the next vivification round.
+        self._props_at_inprocess = 0
+        self._viv_cursor = 0
         self._inprocessed_once = False
         # Where an exception stopped the last add_clauses call.
         self.load_stopped_at = 0
@@ -1474,6 +1488,8 @@ class CDCLSolver:
          self._reduce_fuel) = rental
         self._trail_lim = []
         self._conflicts_at_reduce += self.stats.conflicts - rented_at.conflicts
+        self._props_at_inprocess += (
+            self.stats.propagations - rented_at.propagations)
         self.stats.rollbacks += 1
         self._inprocessed_once = True
         return self._inprocess(frozen, budget)
@@ -1581,12 +1597,15 @@ class CDCLSolver:
         """
         self.stats.inprocessings += 1
         self._conflicts_at_inprocess = self.stats.conflicts
+        searched = self.stats.propagations - self._props_at_inprocess
         config = self.config
         ok = self._simplify_root()
         if ok and config.use_subsume:
             ok = self._subsume(budget)
         if ok and config.use_vivify:
-            ok = self._vivify(budget)
+            ticks = min(config.vivify_ticks,
+                        max(VIVIFY_FLOOR, int(VIVIFY_EFFORT * searched)))
+            ok = self._vivify(budget, ticks)
         if ok and config.use_elim:
             ok = self._eliminate(frozen, budget)
         if ok:
@@ -1594,6 +1613,7 @@ class CDCLSolver:
         else:
             self._ok = False
         self._conflicts_at_inprocess = self.stats.conflicts
+        self._props_at_inprocess = self.stats.propagations
         return ok
 
     def _simplify_root(self) -> bool:
@@ -1792,29 +1812,31 @@ class CDCLSolver:
                 mark[q] = 0
         return True
 
-    def _vivify(self, budget: Optional["Budget"]) -> bool:
+    def _vivify(self, budget: Optional["Budget"], ticks: int) -> bool:
         """Clause vivification: shorten clauses via trial propagation.
 
         For clause C = (l1 ∨ ... ∨ ln), assume ¬l1, ¬l2, ... in turn
         (with C itself detached).  If propagation falsifies some li the
         literal is redundant; if it satisfies li or conflicts, the
-        clause shrinks to the assumed prefix.  Bounded by
-        ``vivify_ticks`` propagations per round, resuming round-robin.
+        clause shrinks to the assumed prefix.  ¬ln is never assumed: a
+        conflict there could only give back all of C.  A round stops
+        once it has spent ``ticks`` propagations (checked between
+        clauses), and the next one resumes round-robin.
         """
         config = self.config
         saving = config.use_phase_saving
         config.use_phase_saving = False  # trial decisions must not bias phases
+        start_props = self.stats.propagations
         try:
-            start_props = self.stats.propagations
             n = len(self._c_start)
             if not n:
                 return True
-            cursor = getattr(self, "_viv_cursor", 0) % n
+            cursor = self._viv_cursor % n
             vals = self._vals
             for _ in range(n):
                 cid = cursor
                 cursor = (cursor + 1) % n
-                if self.stats.propagations - start_props > config.vivify_ticks:
+                if self.stats.propagations - start_props > ticks:
                     break
                 if budget is not None and budget.exhausted() is not None:
                     break
@@ -1827,6 +1849,7 @@ class CDCLSolver:
                 self._detach(cid)
                 assumed: list[int] = []
                 shrunk = False
+                last = lits[-1]
                 for l in lits:
                     v = vals[l]
                     if v > 0:
@@ -1838,12 +1861,14 @@ class CDCLSolver:
                         # Earlier assumptions imply ¬l: l is redundant.
                         shrunk = True
                         continue
+                    assumed.append(l)
+                    if l == last:
+                        break
                     self._trail_lim.append(len(self._trail))
                     self._enqueue(l ^ 1, -1)
-                    assumed.append(l)
                     if self._propagate() >= 0:
                         # Prefix already contradictory: C' = prefix.
-                        shrunk = len(assumed) < len(lits)
+                        shrunk = True
                         break
                 self._backtrack(0)
                 if shrunk and len(assumed) < len(lits):
@@ -1856,6 +1881,8 @@ class CDCLSolver:
             return True
         finally:
             config.use_phase_saving = saving
+            self.stats.vivify_propagations += (
+                self.stats.propagations - start_props)
 
     def _replace_clause_detached(self, cid: int, keep: list[int]) -> bool:
         """Like :meth:`_replace_clause` for an already-detached original."""

@@ -174,10 +174,9 @@ class _IncrementalSession:
         lits = [frame.act for frame in self.frames if frame.act is not None]
         for a in assumptions:
             lits.append(blaster.literal_for(a))
-        self._load_clauses()
         return lits
 
-    def _load_clauses(self) -> None:
+    def load_clauses(self) -> None:
         """Feed clauses added since the last solve into the live CDCL."""
         sat = self.sat
         sat.backtrack_to_root()
@@ -705,6 +704,7 @@ class SmtSolver:
                 lits = inc.sync(self._stack, assumptions)
                 sp.set("cnf_vars", inc.blaster.cnf.num_vars)
                 sp.set("cnf_clauses", len(inc.blaster.cnf.clauses))
+            inc.load_clauses()
         except BudgetExhausted as exc:
             return self._exhausted(
                 exc.report,

@@ -50,6 +50,7 @@ class SatStats:
     vivified_lits: int = 0
     rentals: int = 0
     rollbacks: int = 0
+    vivify_propagations: int = 0
 
     def snapshot(self) -> "SatStats":
         return SatStats(**vars(self))

@@ -8,7 +8,8 @@ formula DAGs produced by loop unrolling compact.
 Construction goes through the ``mk_*`` factory functions, which perform
 light normalization (constant folding, flattening, unit/absorbing
 elements) so that downstream passes see a somewhat canonical DAG.
-Heavier rewriting lives in :mod:`repro.smt.simplify`.
+There is no separate rewriting pass: the bit-blaster encodes the DAG
+these factories build.
 
 Python operators are overloaded for convenience when writing encodings
 by hand (the FPerf-style baselines use this heavily)::

@@ -95,11 +95,14 @@ class DratChecker:
 
     def _propagate(self) -> bool:
         """Propagate queued assignments; True iff a conflict was found."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            false_lit = -lit
-            watchers = self._watches.get(false_lit)
+        value = self._value
+        watches = self._watches
+        trail = self._trail
+        qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches.get(false_lit)
             if not watchers:
                 continue
             keep: list[_CClause] = []
@@ -113,31 +116,34 @@ class DratChecker:
                 w0, w1 = rec.watch
                 if w0 == false_lit:
                     w0, w1 = w1, w0
-                if self._val(w0) > 0:
+                v0 = value[w0] if w0 > 0 else -value[-w0]
+                if v0 > 0:
                     rec.watch = (w0, w1)
                     keep.append(rec)
                     continue
-                moved = False
                 for q in rec.lits:
-                    if q != w0 and q != false_lit and self._val(q) >= 0:
+                    if q != w0 and q != false_lit and (
+                            value[q] if q > 0 else -value[-q]) >= 0:
                         rec.watch = (w0, q)
-                        self._watches.setdefault(q, []).append(rec)
-                        moved = True
+                        watches.setdefault(q, []).append(rec)
                         break
-                if moved:
-                    continue
-                rec.watch = (w0, false_lit)
-                keep.append(rec)
-                v0 = self._val(w0)
-                if v0 < 0:
-                    # Conflict: restore the remaining watchers and stop.
-                    keep.extend(r for r in watchers[i:] if not r.deleted)
-                    self._watches[false_lit] = keep
-                    self._qhead = len(self._trail)
-                    return True
-                if v0 == 0:
-                    self._assign(w0)
-            self._watches[false_lit] = keep
+                else:
+                    rec.watch = (w0, false_lit)
+                    keep.append(rec)
+                    if v0 < 0:
+                        # Conflict: restore the remaining watchers and stop.
+                        keep.extend(r for r in watchers[i:] if not r.deleted)
+                        watches[false_lit] = keep
+                        self._qhead = len(trail)
+                        return True
+                    if v0 == 0:
+                        if w0 > 0:
+                            value[w0] = 1
+                        else:
+                            value[-w0] = -1
+                        trail.append(w0)
+            watches[false_lit] = keep
+        self._qhead = qhead
         return False
 
     def _undo_to(self, saved: int) -> None:

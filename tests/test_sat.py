@@ -328,6 +328,31 @@ def _search_after_first_round(cnf: CNF, config=None):
     return result, at_round[0], solver.stats
 
 
+#: Configurations whose rental ends at its first restart (None) or at
+#: its price, with the reductions that follow on the rebased schedule.
+_RENTAL_ENDS = [
+    None,
+    CDCLConfig(restart_base=1000, reduce_base=100, reduce_inc=50),
+]
+
+
+def _assert_rollback_resumes_exactly(monkeypatch, config):
+    cnf = pigeonhole(7, 6)
+    rented, rented_at, rented_end = _search_after_first_round(cnf, config)
+    assert rented_end.rentals == 1 and rented_end.rollbacks == 1
+    assert rented_at.conflicts > 0  # the rental did search
+
+    monkeypatch.setattr(cdcl, "RENTAL_PROPAGATIONS", 0)
+    bought, bought_at, bought_end = _search_after_first_round(cnf, config)
+    assert bought_end.rentals == 0 and bought_end.rollbacks == 0
+
+    assert rented is bought is SatResult.UNSAT
+    # Everything after the round is the unrented search, counter for
+    # counter; the rental's own work is the only difference.
+    assert rented_end.diff(rented_at) == bought_end.diff(bought_at)
+    assert rented_end.conflicts - rented_at.conflicts == bought_end.conflicts
+
+
 class TestRental:
     def test_short_solves_never_pay_for_a_round(self):
         rng = random.Random(5)
@@ -349,30 +374,19 @@ class TestRental:
             else:
                 check_drat(cnf.num_vars, cnf.clauses, proof.steps)
 
-    @pytest.mark.parametrize("config", [
-        None,  # the rental ends at its first restart
-        # The rental ends at its price, and the reductions that follow
-        # run on the rebased schedule.
-        CDCLConfig(restart_base=1000, reduce_base=100, reduce_inc=50),
-    ])
+    @pytest.mark.parametrize("config", _RENTAL_ENDS)
     def test_rollback_resumes_the_unrented_search_exactly(
             self, monkeypatch, config):
-        cnf = pigeonhole(7, 6)
-        rented, rented_at, rented_end = _search_after_first_round(cnf, config)
-        assert rented_end.rentals == 1 and rented_end.rollbacks == 1
-        assert rented_at.conflicts > 0  # the rental did search
+        _assert_rollback_resumes_exactly(monkeypatch, config)
 
-        monkeypatch.setattr(cdcl, "RENTAL_PROPAGATIONS", 0)
-        bought, bought_at, bought_end = _search_after_first_round(
-            cnf, config)
-        assert bought_end.rentals == 0 and bought_end.rollbacks == 0
-
-        assert rented is bought is SatResult.UNSAT
-        # Everything after the round is the unrented search, counter
-        # for counter; the rental's own work is the only difference.
-        assert rented_end.diff(rented_at) == bought_end.diff(bought_at)
-        assert (rented_end.conflicts - rented_at.conflicts
-                == bought_end.conflicts)
+    @pytest.mark.parametrize("config", _RENTAL_ENDS)
+    def test_rollback_rebases_the_vivification_effort(
+            self, monkeypatch, config):
+        # With the floor at 0, the round after the rollback is sized by
+        # the effort share alone, so the counters only match if the
+        # rental's propagations are rebased out of that share.
+        monkeypatch.setattr(cdcl, "VIVIFY_FLOOR", 0)
+        _assert_rollback_resumes_exactly(monkeypatch, config)
 
     def test_first_restart_ends_the_rental(self):
         config = CDCLConfig(restart_base=4)
@@ -408,6 +422,191 @@ class TestRental:
         resumed.restore_state(state)
         assert resumed.solve() is SatResult.UNSAT
         assert solver.solve() is SatResult.UNSAT
+
+
+# ----- vivification ------------------------------------------------------------
+
+def _unit_closure(clauses, units):
+    """Literals unit propagation makes true, or None on a conflict."""
+    true = set()
+    for lit in units:
+        if -lit in true:
+            return None
+        true.add(lit)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in true for lit in clause):
+                continue
+            free = [lit for lit in clause if -lit not in true]
+            if not free:
+                return None
+            if len(free) == 1:
+                true.add(free[0])
+                changed = True
+    return true
+
+
+def _reference_vivify(others, lits):
+    """The clause vivification shortens ``lits`` to, or None to keep it.
+
+    Trials every literal, the last one included, against unit
+    propagation over ``others`` (every other live clause and the root
+    units).
+    """
+    assumed, trial, shrunk = [], [], False
+    for lit in lits:
+        true = _unit_closure(others, trial)
+        if lit in true:
+            assumed.append(lit)
+            shrunk = True
+            break
+        if -lit in true:
+            shrunk = True
+            continue
+        trial.append(-lit)
+        assumed.append(lit)
+        if _unit_closure(others, trial) is None:
+            shrunk = len(assumed) < len(lits)
+            break
+    return assumed if shrunk and len(assumed) < len(lits) else None
+
+
+def _vivify_outcomes(solver: CDCLSolver, ticks: int):
+    """Run one vivification pass, returning (clause, expected, actual).
+
+    ``actual`` is the literals the solver shortened the clause to, or
+    None when it kept it.  Also asserts that no trial assumes the
+    negation of the clause's last literal.
+    """
+    outcomes = []
+    detach, enqueue = solver._detach, solver._enqueue
+    replace = solver._replace_clause_detached
+
+    def spy_detach(cid):
+        lits = solver._clause_lits(cid)
+        if not any(solver._lit_value(l) > 0 for l in lits):
+            others = [solver._clause_lits(c)
+                      for c in range(len(solver._c_start))
+                      if c != cid and not solver._c_dead[c]]
+            others += [[l] for l in solver._to_signed(solver._trail)]
+            outcomes.append([lits, _reference_vivify(others, lits), None])
+        detach(cid)
+
+    def spy_enqueue(lit, reason=-1):
+        if solver._trail_lim:
+            assert solver._to_signed([lit ^ 1]) != outcomes[-1][0][-1:]
+        return enqueue(lit, reason)
+
+    def spy_replace(cid, keep):
+        outcomes[-1][2] = solver._to_signed(keep)
+        return replace(cid, keep)
+
+    solver._detach = spy_detach
+    solver._enqueue = spy_enqueue
+    solver._replace_clause_detached = spy_replace
+    try:
+        solver._vivify(None, ticks)
+    finally:
+        del solver._detach, solver._enqueue, solver._replace_clause_detached
+    return outcomes
+
+
+_clause = st.lists(
+    st.tuples(st.integers(1, 8), st.booleans()),
+    min_size=2, max_size=5, unique_by=lambda t: t[0],
+).map(lambda lits: [v if pos else -v for v, pos in lits])
+
+
+class TestVivify:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_clause, min_size=1, max_size=30))
+    def test_outcomes_match_trialling_every_literal(self, clauses):
+        cnf = CNF(num_vars=8)
+        for clause in clauses:
+            cnf.add_clause(clause)
+        solver = CDCLSolver(cnf.num_vars)
+        if not solver.add_cnf(cnf):
+            return
+        for lits, expected, actual in _vivify_outcomes(solver, 10**9):
+            assert actual == expected, lits
+
+    def test_outcomes_cover_kept_and_shortened_clauses(self):
+        rng = random.Random(3)
+        kept = shortened = 0
+        for _ in range(40):
+            cnf = CNF(num_vars=8)
+            for _ in range(rng.randint(10, 30)):
+                cnf.add_clause([rng.choice([1, -1]) * v for v in
+                                rng.sample(range(1, 9), rng.randint(2, 5))])
+            solver = CDCLSolver(cnf.num_vars)
+            if not solver.add_cnf(cnf):
+                continue
+            for _, expected, actual in _vivify_outcomes(solver, 10**9):
+                assert actual == expected
+                kept += actual is None
+                shortened += actual is not None
+        assert kept and shortened
+
+    @pytest.mark.parametrize("effort,floor,ticks", [
+        (cdcl.VIVIFY_EFFORT, cdcl.VIVIFY_FLOOR, 120_000),
+        (0.05, 50, 120_000),
+        (1.0, 0, 120_000),
+        (1.0, 0, 300),  # the cap binds
+    ])
+    def test_round_stays_within_its_share_of_the_search(
+            self, monkeypatch, effort, floor, ticks):
+        monkeypatch.setattr(cdcl, "VIVIFY_EFFORT", effort)
+        monkeypatch.setattr(cdcl, "VIVIFY_FLOOR", floor)
+        # Price 0: no rental, so every propagation outside a round is
+        # search that the next round is sized by.
+        monkeypatch.setattr(cdcl, "RENTAL_PROPAGATIONS", 0)
+        config = CDCLConfig(inprocess_interval=30, restart_base=10,
+                            vivify_ticks=ticks)
+        solver = _solver(pigeonhole(7, 6), config)
+        rounds = []  # [search props, ticks given, props at last clause, spent]
+        last_end = [0]
+        inprocess, vivify, detach = (
+            solver._inprocess, solver._vivify, solver._detach)
+
+        def spy_inprocess(frozen, budget):
+            rounds.append([solver.stats.propagations - last_end[0],
+                           None, None, None])
+            try:
+                return inprocess(frozen, budget)
+            finally:
+                last_end[0] = solver.stats.propagations
+
+        def spy_vivify(budget, given_ticks):
+            rounds[-1][1] = given_ticks
+            start = solver.stats.propagations
+            try:
+                return vivify(budget, given_ticks)
+            finally:
+                rounds[-1][2] = (rounds[-1][2] or start) - start
+                rounds[-1][3] = solver.stats.propagations - start
+
+        def spy_detach(cid):
+            if rounds and rounds[-1][1] is not None and rounds[-1][3] is None:
+                rounds[-1][2] = solver.stats.propagations
+            detach(cid)
+
+        solver._inprocess = spy_inprocess
+        solver._vivify = spy_vivify
+        solver._detach = spy_detach
+        assert solver.solve() is SatResult.UNSAT
+        assert len(rounds) >= 10
+        binding = 0
+        for searched, given_ticks, before_last, spent in rounds:
+            limit = min(ticks, max(floor, int(effort * searched)))
+            assert given_ticks == limit
+            # Checked between clauses: only the last clause may overrun.
+            assert before_last <= limit
+            binding += spent > limit
+        assert sum(r[3] for r in rounds) == solver.stats.vivify_propagations
+        if floor < 100:
+            assert binding  # the budget, not the clause count, ended rounds
 
 
 # ----- the bulk clause loader -------------------------------------------------
@@ -551,12 +750,12 @@ class TestBulkLoad:
 
         interrupted = session(PollBudget(1))
         with pytest.raises(BudgetExhausted):
-            interrupted._load_clauses()
+            interrupted.load_clauses()
         assert interrupted.loaded_clauses == 4095
         interrupted.sat.budget = None
-        interrupted._load_clauses()
+        interrupted.load_clauses()
         whole = session(None)
-        whole._load_clauses()
+        whole.load_clauses()
         # 5000 clauses after the blaster's unit for its constant-true var.
         assert interrupted.loaded_clauses == whole.loaded_clauses == 5001
         assert _load_state(interrupted.sat) == _load_state(whole.sat)

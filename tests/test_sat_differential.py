@@ -15,7 +15,8 @@ so the inprocessing configuration also runs with the rental price at 0
 Unit propagation settles most of them without a conflict, so the
 agreement and DRAT tests also draw random 3-SAT at the phase
 transition (about 4.26 clauses per variable), which needs conflicts,
-learning and learned-clause deletions.
+learning and, under the eager-reduction setup, learned-clause
+deletions.
 """
 
 import random
@@ -48,12 +49,19 @@ AGGRESSIVE = CDCLConfig(
     restart_base=4,
 )
 PLAIN = CDCLConfig(use_inprocessing=False)
+#: Learned-clause reduction at every conflict with no glue kept, so
+#: every learned clause longer than two literals is a deletion
+#: candidate: proof deletions on every instance that learns a few,
+#: whichever path the search takes.
+REDUCING = CDCLConfig(use_inprocessing=False, reduce_base=1, reduce_inc=0,
+                      lbd_keep=0)
 
 #: (config, rental price) pairs every differential test runs.
 SETUPS = [
     (AGGRESSIVE, 0),
     (AGGRESSIVE, cdcl.RENTAL_PROPAGATIONS),
     (PLAIN, cdcl.RENTAL_PROPAGATIONS),
+    (REDUCING, cdcl.RENTAL_PROPAGATIONS),
 ]
 
 
@@ -166,7 +174,7 @@ def test_threshold_3sat_learns_and_deletes():
     deletions against the checker's deletion index.
     """
     rng = random.Random(0)
-    conflicts = learned = deletions = 0
+    conflicts = learned = deletions = reduced = 0
     for _ in range(20):
         cnf = _random_3sat(rng.randint(10, 20), rng.randrange(2**32))
         for config, price in SETUPS:
@@ -179,7 +187,11 @@ def test_threshold_3sat_learns_and_deletes():
             conflicts += solver.stats.conflicts
             learned += solver.stats.learned
             deletions += sum(1 for kind, _ in proof.steps if kind == "d")
+            reduced += solver.stats.deleted
     assert conflicts > 0 and learned > 0 and deletions > 0
+    # Reduction, not a root-satisfied learnt met by chance, is what
+    # keeps deletions in every DRAT replay above.
+    assert reduced > 0
 
 
 def test_aggressive_setup_still_runs_inprocessing_rounds():

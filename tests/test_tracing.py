@@ -150,8 +150,13 @@ class TestLoadSpans:
             by_id = {r.span_id: r for r in TRACER.records}
             (load,) = loads
             parent = by_id[load.parent_id]
-            assert parent.name == ("bitblast" if incremental
+            assert parent.name == ("check" if incremental
                                    else "portfolio-rung")
+            if incremental:
+                # Encoding and loading are sibling spans.
+                (encode,) = [r for r in TRACER.records
+                             if r.name == "bitblast"]
+                assert encode.parent_id == load.parent_id
 
     @pytest.mark.parametrize("incremental", [False, True])
     def test_proof_check_splits_loading_from_replay(self, incremental):
