@@ -299,7 +299,7 @@ class DafnyBackend(AnalysisBackend):
         keys: list[Optional[str]] = [None] * len(named_goals)
         done: dict[int, VCResult] = {}
         if cache is not None:
-            memo: dict[int, bytes] = {}
+            memo: dict[Term, bytes] = {}
             base = list(machine.assumptions)
             for idx, (name, goal) in enumerate(named_goals):
                 key = formula_fingerprint(base + [mk_not(goal)], bounds, memo)

@@ -5,7 +5,10 @@ bounds)*.  Both determine the answer completely — the pipeline is a
 decision procedure — so a canonical fingerprint of the two is a sound
 cache key.  The fingerprint is **structural** (per-node sha256 over the
 hash-consed term DAG), not ``id``-based, so keys are stable across
-processes and interpreter runs and can address an on-disk store.
+processes and interpreter runs and can address an on-disk store.  The
+arguments of the operators whose constructors order them by ``id()``
+(``terms.ID_ORDERED_OPS``) are digested in sorted order for the same
+reason.
 
 Two tiers:
 
@@ -33,15 +36,15 @@ from typing import Mapping, Optional, Sequence, Union
 
 from ..obs import METRICS
 from ..smt.intervals import BoundsEnv
-from ..smt.terms import Term, iter_dag
+from ..smt.terms import ID_ORDERED_OPS, Term, iter_dag
 
 Assignment = Mapping[str, Union[bool, int]]
 
 
-def _term_digests(root: Term, memo: dict[int, bytes]) -> bytes:
+def _term_digests(root: Term, memo: dict[Term, bytes]) -> bytes:
     """Structural sha256 digest of every node under ``root`` (memoized)."""
     for node in iter_dag(root):
-        if id(node) in memo:
+        if node in memo:
             continue
         h = hashlib.sha256()
         h.update(node.op.value.encode())
@@ -52,15 +55,18 @@ def _term_digests(root: Term, memo: dict[int, bytes]) -> bytes:
             # repr() distinguishes True from 1 and "x" from x.
             h.update(repr(node.payload).encode())
         h.update(b"\x00")
-        for arg in node.args:
-            h.update(memo[id(arg)])
-        memo[id(node)] = h.digest()
-    return memo[id(root)]
+        args = [memo[arg] for arg in node.args]
+        if node.op in ID_ORDERED_OPS:  # stored order comes from id()
+            args.sort()
+        for digest in args:
+            h.update(digest)
+        memo[node] = h.digest()
+    return memo[root]
 
 
 def formula_fingerprint(
     formulas: Sequence[Term], bounds: BoundsEnv,
-    memo: Optional[dict[int, bytes]] = None,
+    memo: Optional[dict[Term, bytes]] = None,
 ) -> str:
     """Canonical hex key for a query: formulas + the bounds that matter.
 

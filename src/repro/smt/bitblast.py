@@ -76,10 +76,10 @@ class BitBlaster:
         # The constant-true literal: lets constant bits be plain literals.
         self._true = self.cnf.new_var()
         self.cnf.add_clause([self._true])
-        self._bool_cache: dict[int, int] = {}  # id(term) -> literal
-        self._bits_cache: dict[int, list[int]] = {}  # id(term) -> LSB-first lits
+        self._bool_cache: dict[Term, int] = {}  # term -> literal
+        self._bits_cache: dict[Term, list[int]] = {}  # term -> LSB-first lits
         self._gate_cache: dict[tuple, int] = {}
-        self._intervals: dict[int, Interval] = {}
+        self._intervals: dict[Term, Interval] = {}
         self._lits_since_check = 0
 
     # ----- public API -------------------------------------------------------
@@ -127,25 +127,30 @@ class BitBlaster:
         return self.cnf.new_var()
 
     def _gate_and(self, lits: Sequence[int]) -> int:
-        lits = [l for l in lits if l != self._true]
-        if any(l == -self._true for l in lits):
-            return -self._true
-        uniq = sorted(set(lits), key=abs)
-        for l in uniq:
-            if -l in uniq:
-                return -self._true
-        if not uniq:
-            return self._true
+        true = self._true
+        inputs = set(lits)
+        inputs.discard(true)
+        if -true in inputs:
+            return -true
+        for l in inputs:
+            if -l in inputs:
+                return -true
+        if not inputs:
+            return true
+        uniq = sorted(inputs, key=abs)
         if len(uniq) == 1:
             return uniq[0]
-        key = ("and", tuple(uniq))
+        key = ("and", *uniq)
         cached = self._gate_cache.get(key)
         if cached is not None:
             return cached
         g = self._new_lit()
+        # Distinct, non-complementary inputs and a fresh g: every clause
+        # is already what CNF.add_clause would store, so append directly.
+        clauses = self.cnf.clauses
         for l in uniq:
-            self.cnf.add_clause([-g, l])
-        self.cnf.add_clause([g] + [-l for l in uniq])
+            clauses.append([-g, l])
+        clauses.append([g, *[-l for l in uniq]])
         self._gate_cache[key] = g
         return g
 
@@ -174,15 +179,19 @@ class BitBlaster:
         if b < 0:
             b = -b
             negate = not negate
-        norm_a, norm_b = sorted((a, b))
+        norm_a, norm_b = (a, b) if a < b else (b, a)
         key = ("xor", norm_a, norm_b)
         cached = self._gate_cache.get(key)
         if cached is None:
             g = self._new_lit()
-            self.cnf.add_clause([-g, norm_a, norm_b])
-            self.cnf.add_clause([-g, -norm_a, -norm_b])
-            self.cnf.add_clause([g, -norm_a, norm_b])
-            self.cnf.add_clause([g, norm_a, -norm_b])
+            # Two distinct positive inputs and a fresh g: no clause has a
+            # duplicate or complementary literal, so append directly.
+            self.cnf.clauses.extend((
+                [-g, norm_a, norm_b],
+                [-g, -norm_a, -norm_b],
+                [g, -norm_a, norm_b],
+                [g, norm_a, -norm_b],
+            ))
             self._gate_cache[key] = g
             cached = g
         return -cached if negate else cached
@@ -210,13 +219,21 @@ class BitBlaster:
         if cached is not None:
             return cached
         g = self._new_lit()
-        self.cnf.add_clause([-g, -c, t])
-        self.cnf.add_clause([-g, c, e])
-        self.cnf.add_clause([g, -c, -t])
-        self.cnf.add_clause([g, c, -e])
-        # Redundant but propagation-helpful clauses:
-        self.cnf.add_clause([-g, t, e])
-        self.cnf.add_clause([g, -t, -e])
+        ite = (
+            [-g, -c, t],
+            [-g, c, e],
+            [g, -c, -t],
+            [g, c, -e],
+            # Redundant but propagation-helpful clauses:
+            [-g, t, e],
+            [g, -t, -e],
+        )
+        if t != -e and c != t and c != -t and c != e and c != -e:
+            # c, t and e are over three distinct variables (t != e holds
+            # above): no clause holds a duplicate or a tautology.
+            self.cnf.clauses.extend(ite)
+        else:
+            self.cnf.add_clauses(ite)
         self._gate_cache[key] = g
         return g
 
@@ -244,10 +261,10 @@ class BitBlaster:
         return bits + [bits[-1]] * (width - len(bits))
 
     def _interval_of(self, node: Term) -> Interval:
-        iv = self._intervals.get(id(node))
+        iv = self._intervals.get(node)
         if iv is None:  # node reached outside assert_formula (defensive)
             self._intervals.update(infer_intervals(node, self.bounds))
-            iv = self._intervals[id(node)]
+            iv = self._intervals[node]
         return iv
 
     def _width_of(self, node: Term) -> int:
@@ -327,11 +344,11 @@ class BitBlaster:
     # ----- recursive translation ----------------------------------------------------
 
     def _blast_bool(self, node: Term) -> int:
-        cached = self._bool_cache.get(id(node))
+        cached = self._bool_cache.get(node)
         if cached is not None:
             return cached
         lit = self._compute_bool(node)
-        self._bool_cache[id(node)] = lit
+        self._bool_cache[node] = lit
         return lit
 
     def _compute_bool(self, node: Term) -> int:
@@ -376,11 +393,11 @@ class BitBlaster:
         raise ValueError(f"unexpected Bool operator {op}")  # pragma: no cover
 
     def _blast_int(self, node: Term) -> list[int]:
-        cached = self._bits_cache.get(id(node))
+        cached = self._bits_cache.get(node)
         if cached is not None:
             return cached
         bits = self._compute_int(node)
-        self._bits_cache[id(node)] = bits
+        self._bits_cache[node] = bits
         return bits
 
     def _compute_int(self, node: Term) -> list[int]:

@@ -101,14 +101,14 @@ class BoundsEnv:
 
 
 def infer_intervals(root: Term, env: BoundsEnv,
-                    budget=None) -> dict[int, Interval]:
-    """Map ``id(node) -> Interval`` for every INT node under ``root``.
+                    budget=None) -> dict[Term, Interval]:
+    """Map ``node -> Interval`` for every INT node under ``root``.
 
     ``budget`` (a :class:`repro.runtime.budget.Budget`, duck-typed) is
     polled periodically so inference over huge unrolled DAGs respects a
     wall-clock deadline.
     """
-    out: dict[int, Interval] = {}
+    out: dict[Term, Interval] = {}
     visited = 0
     for node in iter_dag(root):
         visited += 1
@@ -116,17 +116,17 @@ def infer_intervals(root: Term, env: BoundsEnv,
             budget.checkpoint("interval inference")
         if node.sort is not INT:
             continue
-        out[id(node)] = _node_interval(node, out, env)
+        out[node] = _node_interval(node, out, env)
     return out
 
 
-def _node_interval(node: Term, cache: dict[int, Interval], env: BoundsEnv) -> Interval:
+def _node_interval(node: Term, cache: dict[Term, Interval], env: BoundsEnv) -> Interval:
     if node.is_const:
         v = node.value
         return Interval(v, v)  # type: ignore[arg-type]
     if node.is_var:
         return env.get(node.name)
-    args = [cache[id(a)] for a in node.args if a.sort is INT]
+    args = [cache[a] for a in node.args if a.sort is INT]
     if node.op is Op.ADD:
         acc = args[0]
         for iv in args[1:]:

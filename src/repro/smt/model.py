@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from .sorts import BOOL
-from .terms import Term, evaluate, free_vars
+from .terms import Term, evaluate_memo
 
 
 class Model:
@@ -19,6 +19,8 @@ class Model:
 
     def __init__(self, assignment: Mapping[str, Union[bool, int]]):
         self._assignment = dict(assignment)
+        # term -> value, shared by every eval() on this (immutable) model.
+        self._memo: dict[Term, Union[bool, int]] = {}
 
     def __getitem__(self, key: Union[Term, str]) -> Union[bool, int]:
         name = key.name if isinstance(key, Term) else key
@@ -34,11 +36,13 @@ class Model:
 
     def eval(self, term: Term) -> Union[bool, int]:
         """Evaluate a term; unconstrained variables default to 0/False."""
-        assignment = dict(self._assignment)
-        for var in free_vars(term):
-            if var.name not in assignment:
-                assignment[var.name] = False if var.sort is BOOL else 0
-        return evaluate(term, assignment)
+        return evaluate_memo(term, self._memo, self._value_of)
+
+    def _value_of(self, var: Term) -> Union[bool, int]:
+        try:
+            return self._assignment[var.name]
+        except KeyError:
+            return False if var.sort is BOOL else 0
 
     def as_dict(self) -> dict[str, Union[bool, int]]:
         return dict(self._assignment)

@@ -2,8 +2,9 @@
 
 This module is the foundation of the Z3 stand-in: immutable, interned
 terms over the Bool and Int sorts.  Hash-consing gives O(1) structural
-equality (``is``), cheap memoization keyed by ``id``, and keeps the
-formula DAGs produced by loop unrolling compact.
+equality (``is``), cheap memoization keyed by the term itself (terms
+hash by identity), and keeps the formula DAGs produced by loop
+unrolling compact.
 
 Construction goes through the ``mk_*`` factory functions, which perform
 light normalization (constant folding, flattening, unit/absorbing
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .sorts import BOOL, INT, Sort
 
@@ -60,9 +61,6 @@ class Op(enum.Enum):
         return self.value
 
 
-_COMMUTATIVE = {Op.AND, Op.OR, Op.XOR, Op.ADD, Op.MUL, Op.EQ, Op.DISTINCT}
-
-
 class Term:
     """An immutable, interned term.
 
@@ -70,7 +68,7 @@ class Term:
     terms are interned, structural equality coincides with identity.
     """
 
-    __slots__ = ("op", "args", "payload", "sort", "_hash", "__weakref__")
+    __slots__ = ("op", "args", "payload", "sort", "__weakref__")
 
     op: Op
     args: tuple["Term", ...]
@@ -82,18 +80,14 @@ class Term:
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "_hash", hash((op, args, payload, sort)))
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Term objects are immutable")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    # NOTE: __eq__ is intentionally *not* overloaded to build formulas:
-    # interning makes default identity equality correct and fast, and it
-    # keeps terms usable as dict/set keys.  Use ``.eq()`` for the logical
-    # equality predicate.
+    # NOTE: neither __eq__ nor __hash__ is overloaded: interning makes
+    # identity equality and identity hashing (object's own, in C) correct
+    # and fast, and keeps terms usable as dict/set keys.  Use ``.eq()``
+    # for the logical equality predicate.
 
     # ----- introspection -------------------------------------------------
 
@@ -107,10 +101,13 @@ class Term:
 
     @property
     def name(self) -> str:
-        """Variable name (only valid for VAR terms)."""
+        """Variable name (only valid for VAR terms).
+
+        A variable's payload is the pair ``(name, sort value)``.
+        """
         if self.op is not Op.VAR:
             raise ValueError(f"not a variable: {self!r}")
-        return self.payload  # type: ignore[return-value]
+        return self.payload[0]  # type: ignore[index]
 
     @property
     def value(self) -> Union[bool, int]:
@@ -197,18 +194,21 @@ class Term:
 
 TermLike = Union[Term, bool, int]
 
-# Interning table.  Keyed by (op, args ids, payload); values are Terms.
+# Interning table: a flat key ``(id(op), payload, id(sort), *arg ids)``
+# maps to the one Term with that structure.  Identities of the Op and
+# Sort members hash in C, where the members themselves would go through
+# the Python-level ``Enum.__hash__``.  The sort must be part of the key:
+# Python's ``False == 0`` and ``True == 1`` would otherwise collide Bool
+# and Int constants.  Arg ids stay valid because the table keeps every
+# term, and with it its args, alive.
 _INTERN: dict = {}
 
 
 def _intern(op: Op, args: tuple[Term, ...], payload: object, sort: Sort) -> Term:
-    # The sort (and payload type) must be part of the key: Python's
-    # ``False == 0`` would otherwise collide Bool and Int constants.
-    key = (op, tuple(id(a) for a in args), payload, type(payload).__name__, sort)
+    key = (id(op), payload, id(sort), *map(id, args))
     found = _INTERN.get(key)
     if found is None:
-        found = Term(op, args, payload, sort)
-        _INTERN[key] = found
+        found = _INTERN[key] = Term(op, args, payload, sort)
     return found
 
 
@@ -273,28 +273,15 @@ def mk_bool(value: bool) -> Term:
 def mk_int(value: int) -> Term:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"mk_int expects an int, got {value!r}")
-    return _intern(Op.CONST, (), value, INT)
+    # The intern key does not hold the payload's type, so an int
+    # subclass (an IntEnum, say) is stored as its plain value.
+    return _intern(Op.CONST, (), int(value), INT)
 
 
 TRUE = mk_bool(True)
 FALSE = mk_bool(False)
 ZERO = mk_int(0)
 ONE = mk_int(1)
-
-
-# VAR payloads are (name, sort) tuples internally; expose name cleanly.
-def _var_payload_name(term: Term) -> str:
-    return term.payload[0]  # type: ignore[index]
-
-
-# Patch the Term.name property to read the tuple payload.
-def _name(self: Term) -> str:
-    if self.op is not Op.VAR:
-        raise ValueError(f"not a variable: {self!r}")
-    return self.payload[0]  # type: ignore[index]
-
-
-Term.name = property(_name)  # type: ignore[assignment]
 
 
 # ----- boolean constructors -------------------------------------------------
@@ -317,30 +304,23 @@ def mk_not(arg: Term) -> Term:
     return _intern(Op.NOT, (arg,), None, BOOL)
 
 
-def _flatten(op: Op, args: Iterable[Term]) -> Iterator[Term]:
-    for a in args:
-        if a.op is op:
-            yield from a.args
-        else:
-            yield a
-
-
 def mk_and(*args: TermLike) -> Term:
-    terms = [_coerce(a, BOOL) for a in args]
-    _check(terms, BOOL, "and")
+    terms = [a if a.__class__ is Term and a.sort is BOOL else _coerce(a, BOOL)
+             for a in args]
     out: list[Term] = []
-    seen: set[int] = set()
-    for a in _flatten(Op.AND, terms):
-        if a is FALSE:
-            return FALSE
-        if a is TRUE or id(a) in seen:
-            continue
-        if a.op is Op.NOT and id(a.args[0]) in seen:
-            return FALSE
-        seen.add(id(a))
-        out.append(a)
+    seen: set[Term] = set()
+    for t in terms:
+        for a in t.args if t.op is Op.AND else (t,):  # flatten nested ANDs
+            if a is FALSE:
+                return FALSE
+            if a is TRUE or a in seen:
+                continue
+            if a.op is Op.NOT and a.args[0] in seen:
+                return FALSE
+            seen.add(a)
+            out.append(a)
     for a in out:
-        if a.op is Op.NOT and id(a.args[0]) in seen:
+        if a.op is Op.NOT and a.args[0] in seen:
             return FALSE
     if not out:
         return TRUE
@@ -350,25 +330,34 @@ def mk_and(*args: TermLike) -> Term:
 
 
 def mk_or(*args: TermLike) -> Term:
-    terms = [_coerce(a, BOOL) for a in args]
-    _check(terms, BOOL, "or")
+    terms = [a if a.__class__ is Term and a.sort is BOOL else _coerce(a, BOOL)
+             for a in args]
     out: list[Term] = []
-    seen: set[int] = set()
-    for a in _flatten(Op.OR, terms):
-        if a is TRUE:
-            return TRUE
-        if a is FALSE or id(a) in seen:
-            continue
-        seen.add(id(a))
-        out.append(a)
+    seen: set[Term] = set()
+    for t in terms:
+        for a in t.args if t.op is Op.OR else (t,):  # flatten nested ORs
+            if a is TRUE:
+                return TRUE
+            if a is FALSE or a in seen:
+                continue
+            seen.add(a)
+            out.append(a)
     for a in out:
-        if a.op is Op.NOT and id(a.args[0]) in seen:
+        if a.op is Op.NOT and a.args[0] in seen:
             return TRUE
     if not out:
         return FALSE
     if len(out) == 1:
         return out[0]
     return _intern(Op.OR, tuple(out), None, BOOL)
+
+
+#: The commutative operators whose constructors (``mk_xor``, ``mk_eq``,
+#: ``mk_mul``) order their two arguments by ``id()``.  That order depends
+#: on construction order and on the allocator, so anything that must be
+#: stable across processes (the result cache's keys) reads these
+#: arguments as unordered.
+ID_ORDERED_OPS = frozenset({Op.XOR, Op.EQ, Op.MUL})
 
 
 def mk_xor(a: Term, b: Term) -> Term:
@@ -426,38 +415,41 @@ def mk_distinct(*args: Term) -> Term:
 
 
 def mk_ite(cond: Term, then: Term, els: Term) -> Term:
-    _check((cond,), BOOL, "ite")
-    if then.sort is not els.sort:
-        raise TypeError(f"ite: branch sort mismatch {then.sort} vs {els.sort}")
+    if cond.__class__ is not Term or cond.sort is not BOOL:
+        _check((cond,), BOOL, "ite")
+    sort = then.sort
+    if sort is not els.sort:
+        raise TypeError(f"ite: branch sort mismatch {sort} vs {els.sort}")
     if cond is TRUE:
         return then
     if cond is FALSE:
         return els
     if then is els:
         return then
-    if then.sort is BOOL:
+    if sort is BOOL:
         if then is TRUE and els is FALSE:
             return cond
         if then is FALSE and els is TRUE:
             return mk_not(cond)
         # Encode boolean ite with connectives; keeps the Bool layer pure.
         return mk_and(mk_implies(cond, then), mk_implies(mk_not(cond), els))
-    return _intern(Op.ITE, (cond, then, els), None, then.sort)
+    return _intern(Op.ITE, (cond, then, els), None, sort)
 
 
 # ----- arithmetic constructors ----------------------------------------------
 
 
 def mk_add(*args: TermLike) -> Term:
-    terms = [_coerce(a, INT) for a in args]
-    _check(terms, INT, "+")
+    terms = [a if a.__class__ is Term and a.sort is INT else _coerce(a, INT)
+             for a in args]
     const = 0
     out: list[Term] = []
-    for a in _flatten(Op.ADD, terms):
-        if a.is_const:
-            const += a.value  # type: ignore[operator]
-        else:
-            out.append(a)
+    for t in terms:
+        for a in t.args if t.op is Op.ADD else (t,):  # flatten nested sums
+            if a.op is Op.CONST:
+                const += a.payload  # type: ignore[operator]
+            else:
+                out.append(a)
     if const != 0 or not out:
         out.append(mk_int(const))
     if len(out) == 1:
@@ -548,25 +540,25 @@ def mk_bool_to_int(b: Term) -> Term:
 
 def iter_dag(root: Term) -> Iterator[Term]:
     """Post-order iteration over the DAG rooted at ``root`` (each node once)."""
-    seen: set[int] = set()
+    seen: set[Term] = set()
     stack: list[tuple[Term, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
         if expanded:
-            seen.add(id(node))
+            seen.add(node)
             yield node
         else:
             stack.append((node, True))
             for arg in node.args:
-                if id(arg) not in seen:
+                if arg not in seen:
                     stack.append((arg, False))
 
 
 def free_vars(root: Term) -> list[Term]:
     """All variables occurring in ``root`` (deterministic DAG order)."""
-    return [t for t in iter_dag(root) if t.is_var]
+    return [t for t in iter_dag(root) if t.op is Op.VAR]
 
 
 def dag_size(root: Term) -> int:
@@ -576,23 +568,23 @@ def dag_size(root: Term) -> int:
 
 def substitute(root: Term, mapping: Mapping[Term, Term]) -> Term:
     """Simultaneous substitution of terms (usually variables) in ``root``."""
-    cache: dict[int, Term] = {}
+    cache: dict[Term, Term] = {}
     for old, new in mapping.items():
         if old.sort is not new.sort:
             raise TypeError(f"substitute: sort mismatch for {old!r} -> {new!r}")
-        cache[id(old)] = new
+        cache[old] = new
     for node in iter_dag(root):
-        if id(node) in cache:
+        if node in cache:
             continue
         if not node.args:
-            cache[id(node)] = node
+            cache[node] = node
             continue
-        new_args = tuple(cache[id(a)] for a in node.args)
+        new_args = tuple(cache[a] for a in node.args)
         if all(n is o for n, o in zip(new_args, node.args)):
-            cache[id(node)] = node
+            cache[node] = node
         else:
-            cache[id(node)] = rebuild(node.op, new_args, node.payload)
-    return cache[id(root)]
+            cache[node] = rebuild(node.op, new_args, node.payload)
+    return cache[root]
 
 
 def rebuild(op: Op, args: tuple[Term, ...], payload: object) -> Term:
@@ -622,23 +614,48 @@ def rebuild(op: Op, args: tuple[Term, ...], payload: object) -> Term:
 def evaluate(root: Term, assignment: Mapping[str, Union[bool, int]]) -> Union[bool, int]:
     """Evaluate a term under a full assignment of its free variables.
 
-    Used by tests and by model validation (checking SAT models against
-    the original, pre-bit-blasting formula).
+    Used by tests and by the Houdini back end; model validation goes
+    through :meth:`repro.smt.model.Model.eval`, which keeps its memo.
     """
-    cache: dict[int, Union[bool, int]] = {}
-    for node in iter_dag(root):
-        if node.is_const:
-            cache[id(node)] = node.value
-        elif node.is_var:
-            try:
-                val = assignment[node.name]
-            except KeyError as exc:
-                raise KeyError(f"no assignment for variable {node.name!r}") from exc
-            cache[id(node)] = val
+
+    def value_of(var: Term) -> Union[bool, int]:
+        try:
+            return assignment[var.name]
+        except KeyError as exc:
+            raise KeyError(f"no assignment for variable {var.name!r}") from exc
+
+    return evaluate_memo(root, {}, value_of)
+
+
+def evaluate_memo(root: Term, memo: dict[Term, Union[bool, int]],
+                  value_of: Callable[[Term], Union[bool, int]]) -> Union[bool, int]:
+    """Evaluate ``root``, reusing and extending ``memo`` (term -> value).
+
+    ``value_of`` gives a variable's value.  Sub-DAGs already in the memo
+    are not walked again, so one memo serves many roots over the same
+    assignment.
+    """
+    if root in memo:
+        return memo[root]
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if a not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        op = node.op
+        if op is Op.CONST:
+            memo[node] = node.payload  # type: ignore[assignment]
+        elif op is Op.VAR:
+            memo[node] = value_of(node)
         else:
-            vals = [cache[id(a)] for a in node.args]
-            cache[id(node)] = _eval_op(node.op, vals)
-    return cache[id(root)]
+            memo[node] = _eval_op(op, [memo[a] for a in node.args])
+    return memo[root]
 
 
 def _eval_op(op: Op, vals: Sequence[Union[bool, int]]):

@@ -7,6 +7,12 @@ all portfolio members are complete decision procedures over the same
 CNF.  Only wall-clock and models (among equally valid ones) may differ.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +28,10 @@ from repro.netmodels.schedulers import fq_buggy, fq_fixed, round_robin, strict_p
 from repro.runtime.budget import Budget, ExhaustionReason
 from repro.smt.intervals import BoundsEnv, Interval
 from repro.smt.solver import CheckResult, SmtSolver
+from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import (
+    Op,
+    Term,
     mk_and,
     mk_bool_var,
     mk_int,
@@ -30,6 +39,7 @@ from repro.smt.terms import (
     mk_le,
     mk_not,
     mk_or,
+    mk_var,
 )
 
 N, T, CAP, ARR = 2, 4, 5, 2
@@ -263,6 +273,67 @@ class TestResultCache:
         assert second.check() is CheckResult.SAT
         assert cold.stats.disk_hits == 1
         assert second.model()["b"] is True
+
+    def test_disk_key_is_independent_of_construction_order(self, tmp_path):
+        """EQ, XOR and MUL order their args by id(), which follows the
+        order the operands were built in: two processes that build the
+        same formula in opposite orders still share one disk entry."""
+        script = textwrap.dedent("""
+            import json, sys
+            from repro.engine import EngineOptions, ResultCache, formula_fingerprint
+            from repro.smt.intervals import BoundsEnv, Interval
+            from repro.smt.solver import CheckResult, SmtSolver
+            from repro.smt.terms import (
+                mk_and, mk_bool_var, mk_eq, mk_int, mk_int_var, mk_le,
+                mk_mul, mk_xor)
+
+            made = {}
+            for name in sys.argv[2:]:
+                made[name] = (mk_bool_var if name in "pq" else mk_int_var)(name)
+            x, y, p, q = (made[n] for n in "xypq")
+            eq, mul, xor = mk_eq(x, y), mk_mul(x, y), mk_xor(p, q)
+            formula = mk_and(eq, mk_le(mk_int(4), mul), xor)
+            key = formula_fingerprint(
+                [formula], BoundsEnv({"x": Interval(0, 3), "y": Interval(0, 3)}))
+            cache = ResultCache(disk_dir=sys.argv[1])
+            solver = SmtSolver(options=EngineOptions.resolve(cache=cache, jobs=1))
+            solver.set_bounds(x, 0, 3)
+            solver.set_bounds(y, 0, 3)
+            solver.add(formula)
+            assert solver.check() is CheckResult.SAT
+            print(json.dumps({
+                "key": key, "disk_hits": cache.stats.disk_hits,
+                "firsts": [t.args[0].name for t in (eq, mul, xor)]}))
+        """)
+
+        def run(*order):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path), *order],
+                capture_output=True, text=True, env=os.environ.copy(),
+                timeout=120, check=True)
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        built_first = run("x", "y", "p", "q")
+        built_second = run("y", "x", "q", "p")
+        # Which operand each process stores first follows its allocation
+        # pattern; the key and the disk entry must not.
+        assert built_first["key"] == built_second["key"]
+        assert (built_first["disk_hits"], built_second["disk_hits"]) == (0, 1)
+
+    @pytest.mark.parametrize("op", [Op.EQ, Op.XOR, Op.MUL])
+    def test_fingerprint_ignores_stored_arg_order(self, op):
+        """The same id-ordered term stored either way round: one key."""
+        sort = BOOL if op is Op.XOR else INT
+        a, b = mk_var("order_a", sort), mk_var("order_b", sort)
+        result_sort = BOOL if op is Op.EQ else sort
+
+        def formula(args):
+            term = Term(op, args, None, result_sort)
+            return term if result_sort is BOOL else mk_le(mk_int(0), term)
+
+        bounds = BoundsEnv()
+        assert formula_fingerprint([formula((a, b))], bounds) == \
+            formula_fingerprint([formula((b, a))], bounds)
 
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)

@@ -57,7 +57,7 @@ class TestIntervals:
         x, y = mk_int_var("x"), mk_int_var("y")
         f = mk_lt(x + y, mk_int(100))
         ivs = infer_intervals(f, env)
-        assert ivs[id(x + y)] == Interval(-5, 15)
+        assert ivs[x + y] == Interval(-5, 15)
 
     def test_ite_interval_is_join(self):
         env = BoundsEnv({"x": Interval(0, 3)})
@@ -65,7 +65,7 @@ class TestIntervals:
         p = mk_bool_var("p")
         t = mk_ite(p, x, mk_int(10))
         ivs = infer_intervals(mk_lt(t, mk_int(99)), env)
-        assert ivs[id(t)] == Interval(0, 10)
+        assert ivs[t] == Interval(0, 10)
 
 
 class TestDecoding:
