@@ -6,9 +6,9 @@ decision procedure — so a canonical fingerprint of the two is a sound
 cache key.  The fingerprint is **structural** (per-node sha256 over the
 hash-consed term DAG), not ``id``-based, so keys are stable across
 processes and interpreter runs and can address an on-disk store.  The
-arguments of the operators whose constructors order them by ``id()``
-(``terms.ID_ORDERED_OPS``) are digested in sorted order for the same
-reason.
+arguments of the operators whose constructors order them by creation
+order (``terms.ID_ORDERED_OPS``) are digested in sorted order, so a key
+does not depend on which argument was built first.
 
 Two tiers:
 
@@ -56,7 +56,7 @@ def _term_digests(root: Term, memo: dict[Term, bytes]) -> bytes:
             h.update(repr(node.payload).encode())
         h.update(b"\x00")
         args = [memo[arg] for arg in node.args]
-        if node.op in ID_ORDERED_OPS:  # stored order comes from id()
+        if node.op in ID_ORDERED_OPS:  # stored order is creation order
             args.sort()
         for digest in args:
             h.update(digest)

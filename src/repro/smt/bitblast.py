@@ -4,12 +4,20 @@ The pipeline is:
 
 1. interval analysis assigns every integer node an exact interval
    (:mod:`repro.smt.intervals`);
-2. every integer node becomes a two's-complement bit-vector whose width
-   is the interval's signed width — so arithmetic never overflows and
-   the encoding is *exact*;
-3. boolean structure is translated with Tseitin gates, with structural
+2. an integer node whose interval holds at most :data:`ORDER_MAX_VALUES`
+   values gets an *order* encoding ``(lo, [x>=lo+1, ..., x>=hi])``
+   (Tamura et al., "Compiling finite linear CSP into SAT"): a constant
+   addend and negation relabel literals, sums are totalizers (Bailleux
+   & Boufkhad), ITE works per position and a comparison is one AND of
+   per-position literals;
+3. every other integer node becomes a two's-complement bit-vector whose
+   width is the interval's signed width — so arithmetic never overflows
+   and the encoding is *exact*; channels convert between the two forms
+   where an order-encoded node meets a binary one;
+4. boolean structure is translated with Tseitin gates, with structural
    hashing so shared subformulas share circuitry;
-4. integer variables get range side-constraints (``lo <= x <= hi``).
+5. integer variables get range side-constraints (``lo <= x <= hi``),
+   implicit in the order encoding.
 
 The result is a :class:`repro.smt.cnf.CNF` plus a :class:`VarMap` for
 decoding SAT models back into integer/boolean assignments.
@@ -29,6 +37,14 @@ from .terms import Op, Term, iter_dag
 if TYPE_CHECKING:  # Budget stays duck-typed to avoid an import cycle
     from ..runtime.budget import Budget
 
+#: An integer node whose interval holds at most this many values is
+#: order-encoded; wider nodes stay two's-complement.
+ORDER_MAX_VALUES = 16
+
+#: An order representation ``(lo, lits)``: ``lits[i]`` is ``x >= lo+1+i``,
+#: so the node's value is ``lo`` plus the number of true literals.
+OrderRep = tuple[int, list[int]]
+
 
 @dataclass
 class VarMap:
@@ -36,6 +52,11 @@ class VarMap:
 
     bool_vars: dict[str, int] = field(default_factory=dict)  # name -> literal
     int_vars: dict[str, list[int]] = field(default_factory=dict)  # name -> LSB-first lits
+    order_vars: dict[str, OrderRep] = field(default_factory=dict)  # name -> (lo, lits)
+
+    def encodes_int(self, name: str) -> bool:
+        """Whether the integer variable ``name`` is encoded (either form)."""
+        return name in self.int_vars or name in self.order_vars
 
     def decode(self, model: Sequence[bool]) -> dict[str, Union[bool, int]]:
         """Decode a SAT model (1-indexed bool list) into var assignments."""
@@ -46,6 +67,8 @@ class VarMap:
             out[name] = decode_twos_complement(
                 [_lit_value(model, b) for b in bits]
             )
+        for name, (lo, lits) in self.order_vars.items():
+            out[name] = lo + sum(_lit_value(model, l) for l in lits)
         return out
 
 
@@ -78,9 +101,14 @@ class BitBlaster:
         self.cnf.add_clause([self._true])
         self._bool_cache: dict[Term, int] = {}  # term -> literal
         self._bits_cache: dict[Term, list[int]] = {}  # term -> LSB-first lits
+        self._order_cache: dict[Term, OrderRep] = {}
         self._gate_cache: dict[tuple, int] = {}
         self._intervals: dict[Term, Interval] = {}
         self._lits_since_check = 0
+        # Observability: order-encoded nodes and the clauses the channels
+        # between the two integer forms emitted, over this blaster's life.
+        self.order_nodes = 0
+        self.channel_clauses = 0
 
     # ----- public API -------------------------------------------------------
 
@@ -104,9 +132,13 @@ class BitBlaster:
         # per-gate inner loop stays span-free (it is the hot path).
         with TRACER.span("tseitin") as sp:
             clauses_before = len(self.cnf.clauses)
+            order_before = self.order_nodes
+            channel_before = self.channel_clauses
             lit = self._blast_bool(formula)
             self.cnf.add_clause([lit])
             sp.set("clauses", len(self.cnf.clauses) - clauses_before)
+            sp.set("order_nodes", self.order_nodes - order_before)
+            sp.set("channel_clauses", self.channel_clauses - channel_before)
 
     def literal_for(self, formula: Term) -> int:
         """Bit-blast ``formula`` and return its literal without asserting it."""
@@ -381,22 +413,32 @@ class BitBlaster:
             a, b = node.args
             if a.sort is BOOL:
                 return self._gate_iff(self._blast_bool(a), self._blast_bool(b))
+            if self._is_order(a) and self._is_order(b):
+                ra, rb = self._blast_order(a), self._blast_order(b)
+                return self._gate_and(
+                    self._order_le(ra, rb) + self._order_le(rb, ra))
             return self._vectors_eq(self._blast_int(a), self._blast_int(b))
-        if op is Op.LT:
-            return self._signed_lt(
-                self._blast_int(node.args[0]), self._blast_int(node.args[1])
-            )
-        if op is Op.LE:
-            return self._signed_le(
-                self._blast_int(node.args[0]), self._blast_int(node.args[1])
-            )
+        if op is Op.LT or op is Op.LE:
+            a, b = node.args
+            if self._is_order(a) and self._is_order(b):
+                lo, lits = self._blast_order(a)
+                if op is Op.LT:  # a < b iff a + 1 <= b
+                    lo += 1
+                return self._gate_and(
+                    self._order_le((lo, lits), self._blast_order(b)))
+            if op is Op.LT:
+                return self._signed_lt(self._blast_int(a), self._blast_int(b))
+            return self._signed_le(self._blast_int(a), self._blast_int(b))
         raise ValueError(f"unexpected Bool operator {op}")  # pragma: no cover
 
     def _blast_int(self, node: Term) -> list[int]:
         cached = self._bits_cache.get(node)
         if cached is not None:
             return cached
-        bits = self._compute_int(node)
+        if node.op is not Op.CONST and self._is_order(node):
+            bits = self._order_to_bits(node)
+        else:
+            bits = self._compute_int(node)
         self._bits_cache[node] = bits
         return bits
 
@@ -428,6 +470,177 @@ class BitBlaster:
             e = self._sign_extend(self._blast_int(node.args[2]), width)
             return [self._gate_ite(cond, x, y) for x, y in zip(t, e)]
         raise ValueError(f"unexpected Int operator {op}")  # pragma: no cover
+
+    # ----- order encoding ---------------------------------------------------------
+
+    def _is_order(self, node: Term) -> bool:
+        """Whether ``node``'s own encoding is the order one.
+
+        A node of a small interval is, unless it is a product: that stays
+        a binary multiplier, channeled into order form where a small
+        parent needs it.
+        """
+        iv = self._interval_of(node)
+        return iv.hi - iv.lo < ORDER_MAX_VALUES and node.op is not Op.MUL
+
+    def _ge(self, rep: OrderRep, k: int) -> int:
+        """The literal ``x >= k`` of an order representation."""
+        lo, lits = rep
+        if k <= lo:
+            return self._true
+        if k > lo + len(lits):
+            return -self._true
+        return lits[k - lo - 1]
+
+    def _blast_order(self, node: Term) -> OrderRep:
+        """The order representation of a node of a small interval."""
+        cached = self._order_cache.get(node)
+        if cached is not None:
+            return cached
+        if self._is_order(node):
+            rep = self._compute_order(node)
+            if node.op is not Op.CONST:
+                self.order_nodes += 1
+        else:
+            rep = self._bits_to_order(node)
+        self._order_cache[node] = rep
+        return rep
+
+    def _compute_order(self, node: Term) -> OrderRep:
+        op = node.op
+        if op is Op.CONST:
+            return node.value, []  # type: ignore[return-value]
+        if op is Op.VAR:
+            iv = self._interval_of(node)
+            lits = [self._new_lit() for _ in range(iv.hi - iv.lo)]
+            # x >= k+1 implies x >= k: fresh, distinct literals.
+            self.cnf.clauses.extend(
+                [[lits[i], -lits[i + 1]] for i in range(len(lits) - 1)])
+            rep = (iv.lo, lits)
+            self.varmap.order_vars[node.name] = rep
+            return rep
+        if op is Op.ADD:
+            return self._order_sum([self._blast_order(a) for a in node.args])
+        if op is Op.SUB:
+            a = self._blast_order(node.args[0])
+            b = self._blast_order(node.args[1])
+            return self._order_sum([a, _order_neg(b)])
+        if op is Op.NEG:
+            return _order_neg(self._blast_order(node.args[0]))
+        if op is Op.ITE:
+            cond = self._blast_bool(node.args[0])
+            t = self._blast_order(node.args[1])
+            e = self._blast_order(node.args[2])
+            iv = self._interval_of(node)
+            return iv.lo, [self._gate_ite(cond, self._ge(t, k), self._ge(e, k))
+                           for k in range(iv.lo + 1, iv.hi + 1)]
+        raise ValueError(f"unexpected Int operator {op}")  # pragma: no cover
+
+    def _order_sum(self, reps: list[OrderRep]) -> OrderRep:
+        """Sum of order representations: constants shift, the rest are
+        merged pairwise by totalizers."""
+        shift = 0
+        parts = []
+        for rep in reps:
+            if rep[1]:
+                parts.append(rep)
+            else:
+                shift += rep[0]
+        if not parts:
+            return shift, []
+        while len(parts) > 1:
+            merged = [self._totalizer(parts[i], parts[i + 1])
+                      for i in range(0, len(parts) - 1, 2)]
+            if len(parts) % 2:
+                merged.append(parts[-1])
+            parts = merged
+        lo, lits = parts[0]
+        return lo + shift, lits
+
+    def _totalizer(self, a: OrderRep, b: OrderRep) -> OrderRep:
+        """``r = a + b`` with clauses in both directions, so every ``r >= k``
+        is forced both ways by the inputs' literals."""
+        true = self._true
+        ge_a = [true, *a[1], -true]  # ge_a[i] is a >= lo_a + i
+        ge_b = [true, *b[1], -true]
+        na, nb = len(a[1]), len(b[1])
+        lits = [self._new_lit() for _ in range(na + nb)]
+        ge_r = [true, *lits, -true]
+        clauses = []
+        for i in range(na + 1):
+            for j in range(nb + 1):
+                if i + j:  # a >= lo_a+i and b >= lo_b+j imply r >= lo_r+i+j
+                    up = [ge_r[i + j]]
+                    if i:
+                        up.append(-ge_a[i])
+                    if j:
+                        up.append(-ge_b[j])
+                    clauses.append(up)
+                if i + j < na + nb:  # a <= lo_a+i and b <= lo_b+j imply r <= lo_r+i+j
+                    down = [-ge_r[i + j + 1]]
+                    if i < na:
+                        down.append(ge_a[i + 1])
+                    if j < nb:
+                        down.append(ge_b[j + 1])
+                    clauses.append(down)
+        vars_a = {abs(l) for l in a[1]}
+        vars_b = {abs(l) for l in b[1]}
+        if vars_a.isdisjoint(vars_b) and true not in vars_a and true not in vars_b:
+            # One literal per input and a fresh output: well-formed.
+            self.cnf.clauses.extend(clauses)
+        else:  # shared or constant inputs (x + x, a channeled product)
+            self.cnf.add_clauses(clauses)
+        return a[0] + b[0], lits
+
+    def _order_le(self, a: OrderRep, b: OrderRep) -> list[int]:
+        """Literals whose conjunction is ``a <= b``: ``a >= k`` implies
+        ``b >= k`` for every ``k`` from the first where ``b >= k`` can
+        fail; beyond ``b``'s top the first such ``k`` implies the rest."""
+        lo = max(a[0], b[0] + 1)
+        hi = min(a[0] + len(a[1]), max(b[0] + len(b[1]) + 1, lo))
+        return [self._gate_or([-self._ge(a, k), self._ge(b, k)])
+                for k in range(lo, hi + 1)]
+
+    def _order_to_bits(self, node: Term) -> list[int]:
+        """Order → binary channel: bit ``p`` is the OR of the run gates
+        ``x >= s and not x >= e+1`` over the runs ``[s, e]`` of values
+        whose two's-complement bit ``p`` is set."""
+        rep = self._blast_order(node)
+        lo, hi = rep[0], rep[0] + len(rep[1])
+        before = len(self.cnf.clauses)
+        bits = []
+        for p in range(self._width_of(node)):
+            runs = []
+            v = lo
+            while v <= hi:
+                if (v >> p) & 1:
+                    start = v
+                    while v <= hi and (v >> p) & 1:
+                        v += 1
+                    runs.append(self._gate_and([self._ge(rep, start),
+                                                -self._ge(rep, v)]))
+                else:
+                    v += 1
+            bits.append(self._gate_or(runs))
+        self.channel_clauses += len(self.cnf.clauses) - before
+        return bits
+
+    def _bits_to_order(self, node: Term) -> OrderRep:
+        """Binary → order channel, for a binary-encoded node of a small
+        interval: ``x >= k`` is a comparison with the constant ``k``."""
+        bits = self._blast_int(node)
+        iv = self._interval_of(node)
+        before = len(self.cnf.clauses)
+        lits = [self._signed_le(self._const_bits(k, len(bits)), bits)
+                for k in range(iv.lo + 1, iv.hi + 1)]
+        self.channel_clauses += len(self.cnf.clauses) - before
+        return iv.lo, lits
+
+
+def _order_neg(rep: OrderRep) -> OrderRep:
+    """``-x``: ``-x >= -hi+1+j`` iff not ``x >= hi-j``, a relabeling."""
+    lo, lits = rep
+    return -(lo + len(lits)), [-l for l in reversed(lits)]
 
 
 def bitblast(

@@ -267,7 +267,7 @@ class SmtSolver:
         name = var.name if isinstance(var, Term) else var
         if (
             self._inc is not None
-            and name in self._inc.blaster.varmap.int_vars
+            and self._inc.blaster.varmap.encodes_int(name)
             and self._bounds.get(name) != Interval(lo, hi)
         ):
             raise RuntimeError(

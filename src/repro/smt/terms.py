@@ -68,18 +68,21 @@ class Term:
     terms are interned, structural equality coincides with identity.
     """
 
-    __slots__ = ("op", "args", "payload", "sort", "__weakref__")
+    __slots__ = ("op", "args", "payload", "sort", "serial", "__weakref__")
 
     op: Op
     args: tuple["Term", ...]
     payload: object
     sort: Sort
+    serial: int  # creation order; orders commutative args (see mk_eq)
 
-    def __init__(self, op: Op, args: tuple["Term", ...], payload: object, sort: Sort):
+    def __init__(self, op: Op, args: tuple["Term", ...], payload: object,
+                 sort: Sort, serial: int = -1):  # -1: built outside _intern
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "serial", serial)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Term objects are immutable")
@@ -200,15 +203,18 @@ TermLike = Union[Term, bool, int]
 # the Python-level ``Enum.__hash__``.  The sort must be part of the key:
 # Python's ``False == 0`` and ``True == 1`` would otherwise collide Bool
 # and Int constants.  Arg ids stay valid because the table keeps every
-# term, and with it its args, alive.
+# term, and with it its args, alive.  Each new term takes the next
+# creation serial, which (unlike an address) repeats from process to
+# process for the same sequence of constructions.
 _INTERN: dict = {}
+_SERIALS = itertools.count()
 
 
 def _intern(op: Op, args: tuple[Term, ...], payload: object, sort: Sort) -> Term:
     key = (id(op), payload, id(sort), *map(id, args))
     found = _INTERN.get(key)
     if found is None:
-        found = _INTERN[key] = Term(op, args, payload, sort)
+        found = _INTERN[key] = Term(op, args, payload, sort, next(_SERIALS))
     return found
 
 
@@ -353,10 +359,11 @@ def mk_or(*args: TermLike) -> Term:
 
 
 #: The commutative operators whose constructors (``mk_xor``, ``mk_eq``,
-#: ``mk_mul``) order their two arguments by ``id()``.  That order depends
-#: on construction order and on the allocator, so anything that must be
-#: stable across processes (the result cache's keys) reads these
-#: arguments as unordered.
+#: ``mk_mul``) order their two arguments by creation serial.  That order
+#: repeats for a repeated construction sequence, so the CNF does too, but
+#: it still depends on which argument was built first, so anything keyed
+#: on the formula alone (the result cache's keys) reads these arguments
+#: as unordered.
 ID_ORDERED_OPS = frozenset({Op.XOR, Op.EQ, Op.MUL})
 
 
@@ -368,7 +375,7 @@ def mk_xor(a: Term, b: Term) -> Term:
         return mk_not(a) if b.value else a
     if a is b:
         return FALSE
-    if id(a) > id(b):  # canonical order for commutativity
+    if a.serial > b.serial:  # canonical order for commutativity
         a, b = b, a
     return _intern(Op.XOR, (a, b), None, BOOL)
 
@@ -400,7 +407,7 @@ def mk_eq(a: Term, b: Term) -> Term:
         return TRUE
     if a.is_const and b.is_const:
         return mk_bool(a.value == b.value)
-    if id(a) > id(b):
+    if a.serial > b.serial:
         a, b = b, a
     return _intern(Op.EQ, (a, b), None, BOOL)
 
@@ -490,7 +497,7 @@ def mk_mul(a: Term, b: Term) -> Term:
             if c.value == -1:
                 return mk_neg(x)
             return _intern(Op.MUL, (c, x), None, INT)
-    if id(a) > id(b):
+    if a.serial > b.serial:
         a, b = b, a
     return _intern(Op.MUL, (a, b), None, INT)
 

@@ -27,7 +27,7 @@ from repro.netmodels.schedulers import fq_buggy
 from repro.runtime import ExhaustionReason, ResourceReport, inject_faults
 from repro.smt.sat.cdcl import CDCLConfig
 from repro.smt.solver import CheckResult, SmtSolver
-from repro.smt.terms import mk_int, mk_int_var, mk_le
+from repro.smt.terms import mk_and, mk_eq, mk_int, mk_int_var, mk_le
 
 CONFIG = EncodeConfig(buffer_capacity=4, arrivals_per_step=2)
 HORIZON = 4
@@ -104,11 +104,15 @@ class TestBackendPartialResults:
     def test_smt_backend_unknown_with_report(self):
         # Inprocessing is disabled so the instance genuinely needs
         # conflicts: variable elimination alone can crack this fixture
-        # without ever charging the conflict budget.
-        backend = SmtBackend(fq_buggy(2), HORIZON, config=CONFIG,
+        # without ever charging the conflict budget.  The query is a
+        # refutation (FQ always serves a backlogged victim eventually):
+        # uncapped it takes ~400 conflicts at this horizon, where the
+        # max_service=1 trace is found within a handful.
+        backend = SmtBackend(fq_buggy(2), HORIZON + 2, config=CONFIG,
                              sat_config=CDCLConfig(use_inprocessing=False),
                              budget=Budget(max_conflicts=20))
-        result = backend.find_trace(_starve(backend))
+        result = backend.find_trace(
+            starvation(backend, "ibs[0]", max_service=0))
         assert result.status is Status.UNKNOWN
         assert not result.complete
         assert result.resource_report.reason is ExhaustionReason.CONFLICTS
@@ -160,12 +164,17 @@ class TestBackendPartialResults:
         assert partial.resource_report is not None
 
     def test_network_backend_unknown_with_report(self):
-        backend = NetworkBackend({"fq": fq_buggy(2)}, [], 3,
+        # A refutation that takes ~230 conflicts uncapped: the victim is
+        # backlogged at every step yet never served.
+        horizon = 5
+        backend = NetworkBackend({"fq": fq_buggy(2)}, [], horizon,
                                  default_config=CONFIG,
                                  budget=Budget(max_conflicts=20))
-        result = backend.find_trace(
-            mk_le(mk_int(2), backend.backlog("fq", "ibs[0]"))
-        )
+        result = backend.find_trace(mk_and(
+            *[mk_le(mk_int(1), backend.backlog("fq", "ibs[0]", t))
+              for t in range(horizon)],
+            mk_eq(backend.deq_count("fq", "ibs[0]"), mk_int(0)),
+        ))
         assert result.status is Status.UNKNOWN
         assert result.resource_report is not None
 

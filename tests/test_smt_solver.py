@@ -266,3 +266,28 @@ def test_pipeline_agrees_with_brute_force(formula):
     )
     got = is_satisfiable(formula, bounds={"hx": (-4, 4), "hy": (-4, 4)})
     assert got == expected
+
+
+#: Variable bounds on both sides of the order-encoding threshold
+#: (bitblast.ORDER_MAX_VALUES = 16 values): the random terms then mix
+#: order-encoded and binary operands, including multipliers, sums too
+#: wide for the order form and comparisons of a small with a wide term.
+THRESHOLD_BOUNDS = [
+    {"hx": (0, 15), "hy": (0, 16)},
+    {"hx": (-4, 4), "hy": (-9, 8)},
+    {"hx": (-20, -3), "hy": (1, 3)},
+]
+
+
+@given(bounded_formula(), st.sampled_from(THRESHOLD_BOUNDS))
+@settings(max_examples=200, deadline=None)
+def test_pipeline_agrees_with_brute_force_across_threshold(formula, bounds):
+    """Property: as above, with order-encoded and binary operands mixed."""
+    (xlo, xhi), (ylo, yhi) = bounds["hx"], bounds["hy"]
+    expected = any(
+        evaluate(formula, {"hx": a, "hy": b, "hp": pv}) is True
+        for a in range(xlo, xhi + 1)
+        for b in range(ylo, yhi + 1)
+        for pv in (False, True)
+    )
+    assert is_satisfiable(formula, bounds=bounds) == expected

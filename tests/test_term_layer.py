@@ -5,8 +5,14 @@ checks, the intern key is a flat tuple of ids, ``Model.eval`` keeps
 one memo per model, and the AND/XOR/ITE gates append their
 clauses without ``CNF.add_clause``.  Each shortcut must give exactly
 what the generic path gives: the same interned object, the same value,
-the same stored clause.
+the same stored clause.  Commutative arguments are ordered by creation
+serial, so the CNF of a formula repeats from process to process.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,3 +299,42 @@ def test_ite_gate_degenerate_inputs_match_add_clause():
         emitted = blaster.cnf.clauses[before:]
         assert emitted == _stored(blaster.cnf.num_vars, raw)
         assert len(emitted) < len(raw)  # something was dropped or merged
+
+
+# ----- creation order ----------------------------------------------------------
+
+
+def test_commutative_args_follow_creation_order():
+    x, y = mk_int_var("tl_serial_x"), mk_int_var("tl_serial_y")
+    p, q = mk_bool_var("tl_serial_p"), mk_bool_var("tl_serial_q")
+    assert x.serial < y.serial and p.serial < q.serial
+    assert mk_eq(y, x).args == (x, y)
+    assert mk_mul(y, x).args == (x, y)
+    assert mk_xor(q, p).args == (p, q)
+    assert mk_eq(x, y).serial > y.serial  # a new term takes a new serial
+
+
+def test_cnf_repeats_across_fresh_processes():
+    """Bit-blasting one instance gives one DIMACS text in every process
+    (it followed the allocator while commutative args were ordered by id)."""
+    script = textwrap.dedent("""
+        import hashlib
+        from repro.baselines.fperf_rr import encode_rr_baseline
+        from repro.smt.bitblast import bitblast
+        from repro.smt.intervals import BoundsEnv, Interval
+
+        ctx = encode_rr_baseline(n_queues=2, horizon=2, capacity=8,
+                                 max_arrivals=2)
+        env = BoundsEnv({name: Interval(lo, hi)
+                         for name, (lo, hi) in ctx.bounds.items()})
+        cnf, _ = bitblast(ctx.constraints, env)
+        print(hashlib.sha256(cnf.to_dimacs().encode()).hexdigest())
+    """)
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    digests = {
+        subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, env=env, timeout=120,
+                       check=True).stdout.strip()
+        for _ in range(5)
+    }
+    assert len(digests) == 1
