@@ -16,10 +16,10 @@ CI gates on this module: ``scripts/check_bench_regression.py``
 compares the emitted ``BENCH_ablation_sat.json`` against the committed
 ``BENCH_ablation_sat.baseline.json`` (machine speed is calibrated by
 the ``full`` variant) and fails on a >20% regression.  Each variant
-also records its CDCL ``conflicts``, ``propagations``, ``rollbacks``
-and ``vivify_propagations``; under a fixed ``PYTHONHASHSEED`` these
-counts are deterministic, and CI checks that two runs record the same
-ones.
+also records its CDCL ``conflicts``, ``propagations``,
+``inprocessings`` and ``vivify_propagations``; under a fixed
+``PYTHONHASHSEED`` these counts are deterministic, and CI checks that
+two runs record the same ones.
 """
 
 import pytest
@@ -84,13 +84,13 @@ def test_sat_feature_ablation(benchmark, variant, bench_json):
                variant=variant)
     (solver,) = solvers  # one machine, one shared solver for its VC
     sat = solver.stats.sat_lifetime
-    for name in ("conflicts", "propagations", "rollbacks",
+    for name in ("conflicts", "propagations", "inprocessings",
                  "vivify_propagations"):
         bench_json(name, getattr(sat, name), "count", variant=variant)
     _rows.append(
         f"{variant:16s}: {report.elapsed_seconds:7.2f}s"
         f" ({report.vcs[0].cnf_clauses} clauses, {sat.conflicts} conflicts,"
-        f" {sat.rollbacks} rollbacks)"
+        f" {sat.inprocessings} rounds)"
     )
 
 

@@ -234,11 +234,14 @@ def _portfolio_worker(task_queue, result_queue, cancel_cell,
                 with TRACER.span("cnf-load", path="portfolio",
                                  clauses=len(clauses)):
                     ok = solver.add_clauses(clauses)
-                with TRACER.span("cdcl", slot=slot):
+                with TRACER.span("cdcl", slot=slot) as cdcl_span:
                     result = (
                         solver.solve(assumptions=assumptions) if ok
                         else SatResult.UNSAT
                     )
+                    cdcl_span.set("inprocessings",
+                                  solver.last_stats.inprocessings)
+                    cdcl_span.set("inprocess_s", solver.last_inprocess_s)
                 span.set("result", result.value)
         except BudgetExhausted as exc:
             result_queue.put(

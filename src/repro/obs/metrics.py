@@ -55,10 +55,6 @@ _HELP: dict[str, str] = {
         "Variables removed by bounded variable elimination.",
     "repro_cdcl_vivified_lits_total":
         "Literals removed by clause vivification.",
-    "repro_cdcl_rentals_total":
-        "Solves that searched before the first inprocessing round.",
-    "repro_cdcl_rollbacks_total":
-        "Rentals rolled back to run the first inprocessing round.",
     "repro_cdcl_vivify_propagations_total":
         "Propagations spent in clause vivification.",
     "repro_solver_checks_total": "SmtSolver.check() calls, by result.",

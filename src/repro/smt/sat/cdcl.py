@@ -15,14 +15,12 @@ follows MiniSat/Glucose; the storage layer does not:
   implication lists ``[implied_lit, cid, ...]``,
 * learned-clause DB reduction is LBD (glue) based with arena
   compaction, not activity based,
-* inprocessing runs between restarts: root-level clause strengthening,
-  subsumption/self-subsumption, clause vivification, and SatELite-style
-  bounded variable elimination (with model extension and on-demand
-  variable reintroduction for incremental sessions),
-* the first round is rented, not bought: a solve searches the formula
-  as loaded for up to ``RENTAL_PROPAGATIONS`` propagations, and only
-  if that does not settle it rolls back to a level-0 snapshot, runs
-  the round and searches exactly as it would have without the rental.
+* inprocessing runs in place at restarts: root-level clause
+  strengthening, subsumption/self-subsumption, clause vivification, and
+  SatELite-style bounded variable elimination (with model extension and
+  on-demand variable reintroduction for incremental sessions).  The
+  first round runs at the first restart, so a solve that settles
+  before it runs exactly the search it would without inprocessing.
 
 Search features: two-watched-literal propagation, first-UIP conflict
 analysis with clause minimization, VSIDS with phase saving, Luby
@@ -178,16 +176,6 @@ def _coerce_option(name: str, type_str: str, raw: object):
 # here because this was its historical home.
 
 
-#: Lifetime propagations a solver may spend searching before it pays for
-#: its first inprocessing round (see ``CDCLSolver._search``).  Sized on
-#: the traffic the verdicts come from: the largest ``query_sweep`` solve
-#: uses 3.3k lifetime propagations and a Fig-6 T=1 VC about 1.4k, so
-#: both finish inside the rental and never pay for a round, while a
-#: Fig-6 T=2 VC needs about 74k (its round included), so it pays at
-#: most this much extra before rolling back to the search it would have
-#: run anyway.
-RENTAL_PROPAGATIONS = 5_000
-
 #: A vivification round is sized by the search it follows, as in
 #: CaDiCaL and Kissat: it may spend ``VIVIFY_EFFORT`` times the search
 #: propagations since the previous round, at least ``VIVIFY_FLOOR`` and
@@ -256,6 +244,9 @@ class CDCLSolver:
         # `last_stats` is the delta attributable to the most recent call.
         self.stats = SatStats()
         self.last_stats = SatStats()
+        # Seconds spent in inprocessing rounds, the same two views.
+        self.inprocess_s = 0.0
+        self.last_inprocess_s = 0.0
         self.num_vars = 0
         # Literal-indexed truth values: slot 2v is the value of literal
         # v, slot 2v+1 of -v (+1 true, -1 false, 0 unassigned).
@@ -322,7 +313,6 @@ class CDCLSolver:
         # effort since then sizes the next vivification round.
         self._props_at_inprocess = 0
         self._viv_cursor = 0
-        self._inprocessed_once = False
         # Where an exception stopped the last add_clauses call.
         self.load_stopped_at = 0
         self._ensure_vars(num_vars)
@@ -1229,6 +1219,7 @@ class CDCLSolver:
         per-query reporting must use on incremental sessions.
         """
         before = self.stats.snapshot()
+        inprocess_before = self.inprocess_s
         # An UNSAT-under-assumptions answer leaves the assumption trail
         # in place; without a snapshot the *next* solve's backtrack(0)
         # would phase-save those assumption-forced values and bias its
@@ -1250,6 +1241,7 @@ class CDCLSolver:
                 phase_snapshot.extend(self._phase[len(phase_snapshot):])
                 self._phase = phase_snapshot
             self.last_stats = self.stats.diff(before)
+            self.last_inprocess_s = self.inprocess_s - inprocess_before
             if METRICS.enabled:
                 proc = METRICS.proc
                 # One family per SatStats field: the unified schema in
@@ -1286,19 +1278,6 @@ class CDCLSolver:
             self._ensure_vars(-a if a < 0 else a)
         config = self.config
         frozen: Optional[set] = None
-        rental: Optional[tuple] = None
-        if config.use_inprocessing and not self._inprocessed_once:
-            if self.stats.propagations < RENTAL_PROPAGATIONS:
-                # Search the formula as loaded first: most solves end
-                # long before a preprocessing round would pay for itself.
-                rental = self._rent()
-            else:
-                # First round on this instance (SatELite style), before
-                # search, where it pays off most.
-                self._inprocessed_once = True
-                frozen = {-a if a < 0 else a for a in assumptions}
-                if not self._inprocess(frozen, budget):
-                    return SatResult.UNSAT
         decisions_since_check = 0
         # Progress beacon: resolved once per solve so a disabled beacon
         # costs nothing inside the loop; enabled, one int compare per
@@ -1312,30 +1291,19 @@ class CDCLSolver:
                            self.stats.propagations)
 
         self._restart_count = self._restart_resume
-        conflicts_until_restart = (
-            config.restart_base * _luby(self._restart_count + 1)
-            if config.use_restarts else -1
-        )
+        if config.use_restarts:
+            conflicts_until_restart = (
+                config.restart_base * _luby(self._restart_count + 1))
+        elif config.use_inprocessing and not self.stats.inprocessings:
+            # Without restarts the first round still runs once, at the
+            # root, where the first restart would have been.
+            conflicts_until_restart = config.restart_base
+        else:
+            conflicts_until_restart = -1
         conflicts_since_restart = 0
 
         while True:
             conflict = self._propagate()
-            if rental is not None and (
-                self.stats.propagations >= RENTAL_PROPAGATIONS
-                or 0 <= conflicts_until_restart <= conflicts_since_restart
-            ):
-                # The rental is spent (or its first restart is due):
-                # roll back, run the round, and search from the snapshot
-                # exactly as a solve that never rented would.
-                frozen = {-a if a < 0 else a for a in assumptions}
-                if not self._roll_back(rental, frozen, budget):
-                    return SatResult.UNSAT
-                rental = None
-                # A rental ends before its first restart, so the Luby
-                # position is still the one this search started from.
-                conflicts_since_restart = 0
-                decisions_since_check = 0
-                continue
             if conflict >= 0:
                 self.stats.conflicts += 1
                 conflicts_since_restart += 1
@@ -1379,20 +1347,22 @@ class CDCLSolver:
                     beacon_mark = self._emit_progress(beacon, beacon_mark)
                 continue
 
-            if (
-                config.use_restarts
-                and conflicts_since_restart >= conflicts_until_restart
-            ):
-                self._restart_count += 1
-                self.stats.restarts += 1
+            if 0 <= conflicts_until_restart <= conflicts_since_restart:
                 conflicts_since_restart = 0
-                conflicts_until_restart = config.restart_base * _luby(
-                    self._restart_count + 1
-                )
+                if config.use_restarts:
+                    self._restart_count += 1
+                    self.stats.restarts += 1
+                    conflicts_until_restart = config.restart_base * _luby(
+                        self._restart_count + 1
+                    )
+                else:
+                    conflicts_until_restart = -1
                 self._backtrack(0)
-                if (
-                    config.use_inprocessing
-                    and self.stats.conflicts - self._conflicts_at_inprocess
+                # The first round runs at the first restart, in place:
+                # a solve that settles before it never pays for one.
+                if config.use_inprocessing and (
+                    not self.stats.inprocessings
+                    or self.stats.conflicts - self._conflicts_at_inprocess
                     >= config.inprocess_interval
                 ):
                     if frozen is None:
@@ -1402,8 +1372,7 @@ class CDCLSolver:
                 continue
 
             if (
-                rental is None
-                and self._n_learnt
+                self._n_learnt
                 and self.stats.conflicts - self._conflicts_at_reduce
                 >= self._reduce_fuel
             ):
@@ -1440,59 +1409,6 @@ class CDCLSolver:
                         return SatResult.UNKNOWN
             self._trail_lim.append(len(self._trail))
             self._enqueue(next_lit, -1)
-
-    def _rent(self) -> tuple:
-        """Snapshot the level-0 state a rental may roll back to.
-
-        Taken where the first inprocessing round would otherwise run.
-        A rental only appends clauses (no reduction, no round, no
-        compaction), but propagation reorders arena literals and watch
-        lists and conflicts bump activities, so everything the search
-        reads is copied.
-        """
-        self.stats.rentals += 1
-        return (
-            self.stats.snapshot(),
-            self._ar[:], self._c_start[:], self._c_size[:],
-            self._c_learnt[:], self._c_lbd[:], self._c_act[:],
-            self._c_dead[:],
-            [w[:] for w in self._watches], [b[:] for b in self._bins],
-            self._vals[:], self._level[:], self._reason[:], self._trail[:],
-            self._qhead,
-            self._activity[:], self._phase[:], self._heap[:],
-            self._heap_act[:], self._var_inc, self._cla_inc,
-            self._free_lits, self._n_irr, self._n_learnt, self._reduce_fuel,
-        )
-
-    def _roll_back(self, rental: tuple, frozen: set,
-                   budget: Optional["Budget"]) -> bool:
-        """Restore a :meth:`_rent` snapshot, then run the first round.
-
-        Returns False iff the round proves UNSAT.  ``stats`` keep the
-        rental's work; the reduction schedule is rebased past it so the
-        search that follows is the one an unrented solve runs.  The
-        rental's lemmas stay in the proof log (they are RUP, so the
-        checker keeping them is sound) and no deletion is logged for
-        them.
-        """
-        (rented_at,
-         self._ar, self._c_start, self._c_size,
-         self._c_learnt, self._c_lbd, self._c_act,
-         self._c_dead,
-         self._watches, self._bins,
-         self._vals, self._level, self._reason, self._trail,
-         self._qhead,
-         self._activity, self._phase, self._heap,
-         self._heap_act, self._var_inc, self._cla_inc,
-         self._free_lits, self._n_irr, self._n_learnt,
-         self._reduce_fuel) = rental
-        self._trail_lim = []
-        self._conflicts_at_reduce += self.stats.conflicts - rented_at.conflicts
-        self._props_at_inprocess += (
-            self.stats.propagations - rented_at.propagations)
-        self.stats.rollbacks += 1
-        self._inprocessed_once = True
-        return self._inprocess(frozen, budget)
 
     def _emit_progress(self, beacon, mark) -> tuple:
         """Emit one live-progress sample; returns the new rate mark.
@@ -1595,6 +1511,7 @@ class CDCLSolver:
         clause is RUP at the moment it is logged, and irredundant
         deletions are never logged, so ``--certify`` replay still works.
         """
+        started = time.perf_counter()
         self.stats.inprocessings += 1
         self._conflicts_at_inprocess = self.stats.conflicts
         searched = self.stats.propagations - self._props_at_inprocess
@@ -1614,6 +1531,7 @@ class CDCLSolver:
             self._ok = False
         self._conflicts_at_inprocess = self.stats.conflicts
         self._props_at_inprocess = self.stats.propagations
+        self.inprocess_s += time.perf_counter() - started
         return ok
 
     def _simplify_root(self) -> bool:
@@ -1943,6 +1861,11 @@ class CDCLSolver:
             and len(occ[v + v]) <= limit and len(occ[v + v + 1]) <= limit
         ]
         candidates.sort(key=lambda v: len(occ[v + v]) + len(occ[v + v + 1]))
+        # Literal-indexed marks of the positive clause's other literals.
+        # Arena clauses hold no duplicate or complementary literals, so
+        # a resolvent is ``p_rest`` plus the negative clause's unmarked
+        # literals, tautological iff one of those is a marked complement.
+        mark = bytearray(len(vals))
         checked = 0
         for v in candidates:
             checked += 1
@@ -1964,21 +1887,23 @@ class CDCLSolver:
                 ps = starts[p_cid]
                 p_rest = [ar[k] for k in range(ps, ps + sizes[p_cid])
                           if ar[k] != pos_idx]
+                for q in p_rest:
+                    mark[q] = 1
                 for n_cid in neg:
                     nst = starts[n_cid]
-                    merged = dict.fromkeys(p_rest)
+                    new: list[int] = []
                     taut = False
                     for k in range(nst, nst + sizes[n_cid]):
                         q = ar[k]
-                        if q == neg_idx:
+                        if q == neg_idx or mark[q]:
                             continue
-                        if q ^ 1 in merged:
+                        if mark[q ^ 1]:
                             taut = True
                             break
-                        merged[q] = None
+                        new.append(q)
                     if taut:
                         continue
-                    res = list(merged)
+                    res = p_rest + new
                     if len(res) > config.elim_lit_limit:
                         feasible = False
                         break
@@ -1986,6 +1911,8 @@ class CDCLSolver:
                     if len(resolvents) > budget_clauses:
                         feasible = False
                         break
+                for q in p_rest:
+                    mark[q] = 0
                 if not feasible:
                     break
             if not feasible:

@@ -606,6 +606,9 @@ class SmtSolver:
                     )
                     cdcl_span.set("result", result.value)
                     cdcl_span.set("conflicts", sat.last_stats.conflicts)
+                    cdcl_span.set("inprocessings",
+                                  sat.last_stats.inprocessings)
+                    cdcl_span.set("inprocess_s", sat.last_inprocess_s)
                 rung_span.set("result", result.value)
             last_seconds = time.perf_counter() - t0
             outcome = _SolveOutcome(
@@ -722,6 +725,8 @@ class SmtSolver:
                              assumptions=len(lits)) as sp:
                 result = inc.sat.solve(assumptions=lits, budget=self.budget)
                 sp.set("result", result.value)
+                sp.set("inprocessings", inc.sat.last_stats.inprocessings)
+                sp.set("inprocess_s", inc.sat.last_inprocess_s)
         t2 = time.perf_counter()
         self.stats = SolverStats(
             encode_seconds=t1 - t0,

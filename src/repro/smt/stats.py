@@ -48,8 +48,6 @@ class SatStats:
     strengthened: int = 0
     eliminated: int = 0
     vivified_lits: int = 0
-    rentals: int = 0
-    rollbacks: int = 0
     vivify_propagations: int = 0
 
     def snapshot(self) -> "SatStats":

@@ -354,27 +354,23 @@ def _analyze_with_telemetry(**kwargs):
     )
 
 
-def test_certified_short_solve_rents_and_reports_it():
-    """A short certified solve skips the first inprocessing round; the
-    new counters reach ``outcome.stats`` and the metrics families."""
+def test_certified_short_solve_reports_no_round_on_its_cdcl_spans():
+    """A short certified solve settles before its first restart, so it
+    runs no inprocessing round, and its ``cdcl`` spans say so."""
     outcome = repro.analyze(
         EXAMPLE.read_text(), steps=2, consts={"N": 2}, telemetry=True,
         config=EncodeConfig(buffer_capacity=4, arrivals_per_step=2),
         cache=False, certify=True,
     )
     assert outcome.verdict is repro.Verdict.PROVED
-    assert outcome.stats["rentals"] >= 1
-    assert outcome.stats["rollbacks"] == 0
     assert outcome.stats["inprocessings"] == 0
     snap = outcome.telemetry
     assert snap.counter_total("repro_trust_proofs_checked_total") >= 1
-    assert snap.counter_total("repro_cdcl_rentals_total") >= 1
-    assert snap.counter_total("repro_cdcl_rollbacks_total") == 0
-    prom = snap.to_prometheus()
-    assert ("# HELP repro_cdcl_rentals_total Solves that searched before"
-            " the first inprocessing round.") in prom
-    assert ("# HELP repro_cdcl_rollbacks_total Rentals rolled back to run"
-            " the first inprocessing round.") in prom
+    cdcl_spans = [s for s in snap.spans if s["name"] == "cdcl"]
+    assert cdcl_spans
+    for span in cdcl_spans:
+        assert span["attrs"]["inprocessings"] == 0
+        assert span["attrs"]["inprocess_s"] == 0.0
 
 
 class TestChromeTrace:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.budget import Budget, BudgetExhausted
+from repro.runtime.budget import Budget, BudgetExhausted, ExhaustionReason
 from repro.smt.cnf import CNF, check_assignment
 from repro.smt.sat import cdcl
 from repro.smt.sat.cdcl import (
@@ -303,7 +303,7 @@ def test_inprocessing_never_attaches_clauses_with_dead_watches():
     assert solver.solve([-7, -8]) is SatResult.UNSAT
 
 
-# ----- the rented first inprocessing round ------------------------------------
+# ----- where inprocessing rounds run ------------------------------------------
 
 
 def _solver(cnf: CNF, config=None, proof=None) -> CDCLSolver:
@@ -312,110 +312,111 @@ def _solver(cnf: CNF, config=None, proof=None) -> CDCLSolver:
     return solver
 
 
-def _search_after_first_round(cnf: CNF, config=None):
-    """Solve, returning (result, stats at the first round, final stats)."""
-    solver = _solver(cnf, config)
-    at_round = []
+def _solve_recording_rounds(solver: CDCLSolver):
+    """Solve, returning (result, [(stats, learnt clauses) at each round])."""
+    rounds = []
     inprocess = solver._inprocess
 
     def spy(frozen, budget):
-        if not at_round:
-            at_round.append(solver.stats.snapshot())
+        assert not solver._trail_lim  # rounds run at the root
+        rounds.append((solver.stats.snapshot(), solver._n_learnt))
         return inprocess(frozen, budget)
 
     solver._inprocess = spy
-    result = solver.solve()
-    return result, at_round[0], solver.stats
+    return solver.solve(), rounds
 
 
-#: Configurations whose rental ends at its first restart (None) or at
-#: its price, with the reductions that follow on the rebased schedule.
-_RENTAL_ENDS = [
-    None,
-    CDCLConfig(restart_base=1000, reduce_base=100, reduce_inc=50),
-]
+def _settles_like_no_inprocessing(cnf: CNF) -> None:
+    ok = CDCLSolver(cnf.num_vars).add_cnf(cnf)
+    if not ok:
+        return
+    got = _solver(cnf)
+    want = _solver(cnf, CDCLConfig(use_inprocessing=False))
+    result = got.solve()
+    assert result is want.solve()
+    if got.stats.restarts:
+        return  # past the first restart: a round may have run
+    assert got.stats.inprocessings == 0
+    assert got.stats == want.stats
+    if result is SatResult.SAT:
+        assert got.model() == want.model()
 
 
-def _assert_rollback_resumes_exactly(monkeypatch, config):
-    cnf = pigeonhole(7, 6)
-    rented, rented_at, rented_end = _search_after_first_round(cnf, config)
-    assert rented_end.rentals == 1 and rented_end.rollbacks == 1
-    assert rented_at.conflicts > 0  # the rental did search
+class TestFirstRound:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=60),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_a_solve_settling_before_the_first_restart_runs_no_round(
+            self, n_vars, n_clauses, seed):
+        _settles_like_no_inprocessing(
+            random_cnf(random.Random(seed), n_vars, n_clauses))
 
-    monkeypatch.setattr(cdcl, "RENTAL_PROPAGATIONS", 0)
-    bought, bought_at, bought_end = _search_after_first_round(cnf, config)
-    assert bought_end.rentals == 0 and bought_end.rollbacks == 0
-
-    assert rented is bought is SatResult.UNSAT
-    # Everything after the round is the unrented search, counter for
-    # counter; the rental's own work is the only difference.
-    assert rented_end.diff(rented_at) == bought_end.diff(bought_at)
-    assert rented_end.conflicts - rented_at.conflicts == bought_end.conflicts
-
-
-class TestRental:
-    def test_short_solves_never_pay_for_a_round(self):
-        rng = random.Random(5)
-        cnfs = [pigeonhole(4, 3), pigeonhole(5, 4)] + [
-            random_cnf(rng, rng.randint(3, 8), rng.randint(5, 35))
-            for _ in range(30)
-        ]
-        for cnf in cnfs:
-            expected, _ = solve_cnf_dpll(cnf)
-            proof = ProofLog()
-            solver = CDCLSolver(cnf.num_vars, proof=proof)
-            result = solver.solve() if solver.add_cnf(cnf) else SatResult.UNSAT
-            assert result is expected
-            assert solver.stats.inprocessings == 0
-            assert solver.stats.rollbacks == 0
-            assert not solver._inprocessed_once
-            if result is SatResult.SAT:
-                assert check_assignment(cnf, solver.model())
-            else:
-                check_drat(cnf.num_vars, cnf.clauses, proof.steps)
-
-    @pytest.mark.parametrize("config", _RENTAL_ENDS)
-    def test_rollback_resumes_the_unrented_search_exactly(
-            self, monkeypatch, config):
-        _assert_rollback_resumes_exactly(monkeypatch, config)
-
-    @pytest.mark.parametrize("config", _RENTAL_ENDS)
-    def test_rollback_rebases_the_vivification_effort(
-            self, monkeypatch, config):
-        # With the floor at 0, the round after the rollback is sized by
-        # the effort share alone, so the counters only match if the
-        # rental's propagations are rebased out of that share.
-        monkeypatch.setattr(cdcl, "VIVIFY_FLOOR", 0)
-        _assert_rollback_resumes_exactly(monkeypatch, config)
-
-    def test_first_restart_ends_the_rental(self):
-        config = CDCLConfig(restart_base=4)
+    def test_a_short_refutation_runs_no_round(self):
         cnf = pigeonhole(6, 5)
-        result, at_round, end = _search_after_first_round(cnf, config)
-        assert result is SatResult.UNSAT
-        assert end.rollbacks == 1
-        # Rolled back at the restart, well inside the propagation price
-        # and before any restart or reduction happened.
-        assert at_round.conflicts == config.restart_base
-        assert at_round.propagations < cdcl.RENTAL_PROPAGATIONS
-        assert at_round.restarts == 0 and at_round.deleted == 0
+        solver = _solver(cnf)
+        assert solver.solve() is SatResult.UNSAT
+        assert 0 < solver.stats.conflicts < solver.config.restart_base
+        _settles_like_no_inprocessing(cnf)
 
-    def test_certified_unsat_after_a_rollback(self):
+    @pytest.mark.parametrize("config", [
+        CDCLConfig(),
+        CDCLConfig(restart_base=10, inprocess_interval=30),
+    ])
+    def test_first_round_runs_in_place_at_the_first_restart(self, config):
+        solver = _solver(pigeonhole(7, 6), config)
+        result, rounds = _solve_recording_rounds(solver)
+        assert result is SatResult.UNSAT
+        (first, learnts), *later = rounds
+        # Luby's first unit: the first restart comes once restart_base
+        # conflicts are reached, and the round follows it with the
+        # search's learnt clauses still in place (none reduced yet).
+        assert first.conflicts >= config.restart_base
+        assert first.restarts == 1 and first.deleted == 0
+        assert learnts == first.learned > 0
+        assert first.inprocessings == 0
+        # Later rounds keep the interval.
+        marks = [first.conflicts] + [s.conflicts for s, _ in later]
+        assert all(b - a >= config.inprocess_interval
+                   for a, b in zip(marks, marks[1:]))
+        assert solver.stats.inprocessings == len(rounds)
+
+    def test_without_restarts_exactly_one_round_runs(self):
+        config = CDCLConfig(use_restarts=False)
+        solver = _solver(pigeonhole(7, 6), config)
+        result, rounds = _solve_recording_rounds(solver)
+        assert result is SatResult.UNSAT
+        ((at_round, learnts),) = rounds
+        assert at_round.conflicts >= config.restart_base
+        assert learnts == at_round.learned > 0
+        assert solver.stats.restarts == 0
+        assert solver.stats.conflicts > config.restart_base
+
+    def test_certified_unsat_after_an_in_place_first_round(self):
         cnf = pigeonhole(7, 6)
         proof = ProofLog()
         solver = _solver(cnf, proof=proof)
         assert solver.solve() is SatResult.UNSAT
-        assert solver.stats.rollbacks == 1
+        assert solver.stats.inprocessings >= 1
+        assert solver.stats.eliminated and solver.stats.subsumed
         check_drat(cnf.num_vars, cnf.clauses, proof.steps)
 
-    def test_budget_runs_out_mid_rental(self):
+    def test_budget_running_out_during_the_first_round_gives_unknown(self):
         cnf = pigeonhole(7, 6)
         solver = _solver(cnf)
-        assert solver.solve(budget=Budget(max_conflicts=20)) is (
-            SatResult.UNKNOWN)
+        budget = Budget()
+        budget.start()
+        vivify = solver._vivify
+
+        def cancel_mid_round(round_budget, ticks):
+            budget.cancel()
+            return vivify(round_budget, ticks)
+
+        solver._vivify = cancel_mid_round
+        assert solver.solve(budget=budget) is SatResult.UNKNOWN
+        assert solver.stats.inprocessings == 1
         assert solver.exhaust_report is not None
-        assert solver.stats.rentals == 1 and solver.stats.rollbacks == 0
-        assert solver.stats.propagations < cdcl.RENTAL_PROPAGATIONS
+        assert solver.exhaust_report.reason is ExhaustionReason.CANCELLED
 
         state = solver.checkpoint_state()
         resumed = _solver(cnf)
@@ -559,9 +560,6 @@ class TestVivify:
             self, monkeypatch, effort, floor, ticks):
         monkeypatch.setattr(cdcl, "VIVIFY_EFFORT", effort)
         monkeypatch.setattr(cdcl, "VIVIFY_FLOOR", floor)
-        # Price 0: no rental, so every propagation outside a round is
-        # search that the next round is sized by.
-        monkeypatch.setattr(cdcl, "RENTAL_PROPAGATIONS", 0)
         config = CDCLConfig(inprocess_interval=30, restart_base=10,
                             vivify_ticks=ticks)
         solver = _solver(pigeonhole(7, 6), config)
@@ -673,15 +671,15 @@ def _bulk_solver(setup: str) -> CDCLSolver:
             assert solver._trail_lim
     elif setup == "eliminated":
         rng = random.Random(0)
-        config = CDCLConfig(use_inprocessing=True, inprocess_interval=4,
-                            reduce_base=8, restart_base=4)
-        solver = CDCLSolver(8, config, proof=ProofLog())
+        solver = CDCLSolver(8, proof=ProofLog())
         for _ in range(20):
             solver.add_clause([rng.choice([1, -1]) * rng.randint(1, 8)
                                for _ in range(3)])
-        with mock.patch.object(cdcl, "RENTAL_PROPAGATIONS", 0):
-            assert solver.solve() is SatResult.SAT
+        # Too few conflicts to reach a restart: run the round at the
+        # root directly, as the first restart would.
+        assert solver._inprocess(set(), None)
         assert solver._elim_stack  # every variable was eliminated
+        assert solver.solve() is SatResult.SAT
         solver.backtrack_to_root()
     return solver
 

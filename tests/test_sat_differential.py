@@ -8,25 +8,20 @@ is checked against the naive DPLL solver on random CNFs:
 * every UNSAT answer carries a DRAT proof the independent checker
   replays (the ``--certify`` path), with inprocessing both on and off.
 
-The small random CNFs settle in a handful of propagations, far inside
-the rental that lets short solves skip the first inprocessing round,
-so the inprocessing configuration also runs with the rental price at 0
-(the round before search); that is what keeps elimination covered.
-Unit propagation settles most of them without a conflict, so the
-agreement and DRAT tests also draw random 3-SAT at the phase
+Unit propagation settles most of the small random CNFs without a
+conflict, so they never reach a restart, where inprocessing rounds
+run.  Every test therefore also draws random 3-SAT at the phase
 transition (about 4.26 clauses per variable), which needs conflicts,
-learning and, under the eager-reduction setup, learned-clause
-deletions.
+learning, the aggressive setup's rounds and, under the eager-reduction
+setup, learned-clause deletions.
 """
 
 import random
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt.cnf import CNF, check_assignment
-from repro.smt.sat import cdcl
 from repro.smt.sat.cdcl import CDCLConfig, CDCLSolver, SatResult, solve_cnf
 from repro.smt.sat.dpll import solve_cnf_dpll
 from repro.trust import check_drat
@@ -56,17 +51,8 @@ PLAIN = CDCLConfig(use_inprocessing=False)
 REDUCING = CDCLConfig(use_inprocessing=False, reduce_base=1, reduce_inc=0,
                       lbd_keep=0)
 
-#: (config, rental price) pairs every differential test runs.
-SETUPS = [
-    (AGGRESSIVE, 0),
-    (AGGRESSIVE, cdcl.RENTAL_PROPAGATIONS),
-    (PLAIN, cdcl.RENTAL_PROPAGATIONS),
-    (REDUCING, cdcl.RENTAL_PROPAGATIONS),
-]
-
-
-def _priced(price: int):
-    return mock.patch.object(cdcl, "RENTAL_PROPAGATIONS", price)
+#: Configurations every differential test runs.
+SETUPS = [AGGRESSIVE, PLAIN, REDUCING]
 
 
 def _random_cnf(n_vars: int, n_clauses: int, seed: int) -> CNF:
@@ -108,11 +94,10 @@ random_cnfs = st.one_of(
 @given(random_cnfs)
 def test_cdcl_agrees_with_dpll(cnf):
     ref_result, _ = solve_cnf_dpll(cnf)
-    for config, price in SETUPS:
-        with _priced(price):
-            result, model, _ = solve_cnf(cnf, config)
+    for config in SETUPS:
+        result, model, _ = solve_cnf(cnf, config)
         assert result is ref_result, (
-            f"verdict mismatch vs DPLL ({config.use_inprocessing=}, {price=})"
+            f"verdict mismatch vs DPLL ({config=})"
         )
         if result is SatResult.SAT:
             assert check_assignment(cnf, model), "model does not satisfy CNF"
@@ -124,12 +109,11 @@ def test_unsat_answers_carry_checkable_drat_proofs(cnf):
     ref_result, _ = solve_cnf_dpll(cnf)
     if ref_result is not SatResult.UNSAT:
         return
-    for config, price in SETUPS:
+    for config in SETUPS:
         proof = ProofLog()
         solver = CDCLSolver(cnf.num_vars, config, proof=proof)
         ok = solver.add_cnf(cnf)
-        with _priced(price):
-            result = solver.solve() if ok else SatResult.UNSAT
+        result = solver.solve() if ok else SatResult.UNSAT
         assert result is SatResult.UNSAT
         # The independent checker must accept the refutation — with
         # inprocessing on, this covers elimination/strengthening steps.
@@ -137,33 +121,29 @@ def test_unsat_answers_carry_checkable_drat_proofs(cnf):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cnf_shapes, st.integers(min_value=1, max_value=12))
-def test_agreement_under_assumptions(shape, pivot):
+@given(random_cnfs, st.integers(min_value=1, max_value=20))
+def test_agreement_under_assumptions(cnf, pivot):
     """UNSAT-under-assumptions vs DPLL on the strengthened formula."""
-    n_vars, n_clauses, seed = shape
-    cnf = _random_cnf(n_vars, n_clauses, seed)
-    lit = ((pivot - 1) % n_vars) + 1
+    lit = ((pivot - 1) % cnf.num_vars) + 1
     strengthened = CNF(num_vars=cnf.num_vars)
     for clause in cnf.clauses:
         strengthened.add_clause(clause)
     strengthened.add_clause([lit])
     ref_result, _ = solve_cnf_dpll(strengthened)
 
-    for price in (0, cdcl.RENTAL_PROPAGATIONS):
-        solver = CDCLSolver(cnf.num_vars, AGGRESSIVE)
-        if not solver.add_cnf(cnf):
-            # Root-level conflict while loading: the base formula is
-            # already UNSAT, so the strengthened one must be too.
-            assert ref_result is SatResult.UNSAT
-            return
-        with _priced(price):
-            result = solver.solve([lit])
-        assert result is ref_result
-        if result is SatResult.SAT:
-            model = solver.model()
-            assert check_assignment(strengthened, model)
-        else:
-            assert lit in solver.unsat_assumptions() or solver._ok is False
+    solver = CDCLSolver(cnf.num_vars, AGGRESSIVE)
+    if not solver.add_cnf(cnf):
+        # Root-level conflict while loading: the base formula is
+        # already UNSAT, so the strengthened one must be too.
+        assert ref_result is SatResult.UNSAT
+        return
+    result = solver.solve([lit])
+    assert result is ref_result
+    if result is SatResult.SAT:
+        model = solver.model()
+        assert check_assignment(strengthened, model)
+    else:
+        assert lit in solver.unsat_assumptions() or solver._ok is False
 
 
 def test_threshold_3sat_learns_and_deletes():
@@ -177,13 +157,12 @@ def test_threshold_3sat_learns_and_deletes():
     conflicts = learned = deletions = reduced = 0
     for _ in range(20):
         cnf = _random_3sat(rng.randint(10, 20), rng.randrange(2**32))
-        for config, price in SETUPS:
+        for config in SETUPS:
             proof = ProofLog()
             solver = CDCLSolver(cnf.num_vars, config, proof=proof)
             if not solver.add_cnf(cnf):
                 continue
-            with _priced(price):
-                solver.solve()
+            solver.solve()
             conflicts += solver.stats.conflicts
             learned += solver.stats.learned
             deletions += sum(1 for kind, _ in proof.steps if kind == "d")
@@ -197,18 +176,14 @@ def test_threshold_3sat_learns_and_deletes():
 def test_aggressive_setup_still_runs_inprocessing_rounds():
     """Guard: the differential tests above must keep reaching inprocessing.
 
-    Drawn from the same shape ranges as ``cnf_shapes``.  Were the round
-    left to the rental, none of these instances would ever run one.
+    Drawn from the same ranges as ``threshold_shapes``.  Rounds run at
+    restarts, which the tiny ``cnf_shapes`` instances never reach.
     """
     rng = random.Random(0)
     rounds = eliminated = 0
-    for _ in range(120):
-        cnf = _random_cnf(rng.randint(1, 12), rng.randint(1, 55),
-                          rng.randrange(2**32))
-        for config, price in SETUPS:
-            if config is AGGRESSIVE:
-                with _priced(price):
-                    _, _, stats = solve_cnf(cnf, config)
-                rounds += stats.inprocessings
-                eliminated += stats.eliminated
+    for _ in range(20):
+        cnf = _random_3sat(rng.randint(10, 20), rng.randrange(2**32))
+        _, _, stats = solve_cnf(cnf, AGGRESSIVE)
+        rounds += stats.inprocessings
+        eliminated += stats.eliminated
     assert rounds >= 1 and eliminated >= 1

@@ -117,6 +117,32 @@ class TestIncrementalEncodeSpan:
             assert parent.attrs["path"] == "incremental"
 
 
+class TestCdclSpan:
+    """Each solve's ``cdcl`` span records its inprocessing rounds."""
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_rounds_and_their_time_reach_the_span(self, incremental):
+        from repro.smt.solver import CheckResult, SmtSolver
+        from repro.smt.terms import mk_bool_var, mk_not, mk_or
+
+        obs.enable()
+        # Pigeonhole 7 -> 6: long enough to reach the first restart.
+        tag = f"php{int(incremental)}"
+        holes = {(p, h): mk_bool_var(f"{tag}.{p}.{h}")
+                 for p in range(7) for h in range(6)}
+        solver = SmtSolver(incremental=incremental)
+        solver.add(*[mk_or(*[holes[p, h] for h in range(6)])
+                     for p in range(7)])
+        solver.add(*[mk_or(mk_not(holes[p, h]), mk_not(holes[q, h]))
+                     for h in range(6) for p in range(7)
+                     for q in range(p + 1, 7)])
+        assert solver.check() is CheckResult.UNSAT
+        (span,) = [r for r in TRACER.records if r.name == "cdcl"]
+        assert span.attrs["inprocessings"] == (
+            solver.stats.sat.inprocessings) >= 1
+        assert 0.0 < span.attrs["inprocess_s"] < span.wall
+
+
 class TestLoadSpans:
     """Every CDCL load and every proof check's two halves get a span."""
 
