@@ -33,12 +33,24 @@ from ..buffers.symbolic import (
     gite,
 )
 from ..lang.ast import (
+    BINOP_ADD,
+    BINOP_AND,
+    BINOP_EQ,
+    BINOP_GE,
+    BINOP_GT,
+    BINOP_IMPLIES,
+    BINOP_LE,
+    BINOP_LT,
+    BINOP_MUL,
+    BINOP_NE,
+    BINOP_OR,
+    BINOP_SUB,
+    UNOP_NOT,
     Assert,
     Assign,
     Assume,
     Backlog,
     BinOp,
-    BinOpKind,
     BoolLit,
     BuffyError,
     Call,
@@ -61,7 +73,6 @@ from ..lang.ast import (
     Seq,
     Skip,
     UnOp,
-    UnOpKind,
     Var,
     VarKind,
 )
@@ -526,7 +537,7 @@ class _Executor:
             return self._eval_binop(expr)
         if isinstance(expr, UnOp):
             operand = self.eval(expr.operand)
-            if expr.kind is UnOpKind.NOT:
+            if expr.kind is UNOP_NOT:
                 return mk_not(operand)
             return -operand
         if isinstance(expr, Backlog):
@@ -574,29 +585,29 @@ class _Executor:
         kind = expr.kind
         left = self.eval(expr.left)
         right = self.eval(expr.right)
-        if kind is BinOpKind.ADD:
+        if kind is BINOP_ADD:
             return left + right
-        if kind is BinOpKind.SUB:
+        if kind is BINOP_SUB:
             return left - right
-        if kind is BinOpKind.MUL:
+        if kind is BINOP_MUL:
             return left * right
-        if kind is BinOpKind.LT:
+        if kind is BINOP_LT:
             return mk_lt(left, right)
-        if kind is BinOpKind.LE:
+        if kind is BINOP_LE:
             return mk_le(left, right)
-        if kind is BinOpKind.GT:
+        if kind is BINOP_GT:
             return mk_lt(right, left)
-        if kind is BinOpKind.GE:
+        if kind is BINOP_GE:
             return mk_le(right, left)
-        if kind is BinOpKind.EQ:
+        if kind is BINOP_EQ:
             return mk_eq(left, right)
-        if kind is BinOpKind.NE:
+        if kind is BINOP_NE:
             return mk_not(mk_eq(left, right))
-        if kind is BinOpKind.AND:
+        if kind is BINOP_AND:
             return mk_and(left, right)
-        if kind is BinOpKind.OR:
+        if kind is BINOP_OR:
             return mk_or(left, right)
-        if kind is BinOpKind.IMPLIES:
+        if kind is BINOP_IMPLIES:
             return mk_implies(left, right)
         raise EncodeError(f"unsupported operator {kind}", expr.pos)
 

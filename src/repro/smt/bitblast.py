@@ -32,7 +32,10 @@ from ..obs import TRACER
 from .cnf import CNF
 from .intervals import BoundsEnv, Interval, infer_intervals
 from .sorts import BOOL, INT
-from .terms import Op, Term, iter_dag
+from .terms import (
+    OP_ADD, OP_AND, OP_CONST, OP_EQ, OP_IMPLIES, OP_ITE, OP_LE, OP_LT, OP_MUL,
+    OP_NEG, OP_NOT, OP_OR, OP_SUB, OP_VAR, OP_XOR, Term, iter_dag,
+)
 
 if TYPE_CHECKING:  # Budget stays duck-typed to avoid an import cycle
     from ..runtime.budget import Budget
@@ -303,7 +306,7 @@ class BitBlaster:
         return self._interval_of(node).width_signed()
 
     def _int_var_bits(self, node: Term) -> list[int]:
-        name = node.name
+        name = node.payload[0]  # type: ignore[index]
         existing = self.varmap.int_vars.get(name)
         if existing is not None:
             return existing
@@ -385,31 +388,31 @@ class BitBlaster:
 
     def _compute_bool(self, node: Term) -> int:
         op = node.op
-        if op is Op.CONST:
-            return self._true if node.value else -self._true
-        if op is Op.VAR:
-            name = node.name
+        if op is OP_CONST:
+            return self._true if node.payload else -self._true
+        if op is OP_VAR:
+            name = node.payload[0]  # type: ignore[index]
             existing = self.varmap.bool_vars.get(name)
             if existing is not None:
                 return existing
             lit = self._new_lit()
             self.varmap.bool_vars[name] = lit
             return lit
-        if op is Op.NOT:
+        if op is OP_NOT:
             return -self._blast_bool(node.args[0])
-        if op is Op.AND:
+        if op is OP_AND:
             return self._gate_and([self._blast_bool(a) for a in node.args])
-        if op is Op.OR:
+        if op is OP_OR:
             return self._gate_or([self._blast_bool(a) for a in node.args])
-        if op is Op.XOR:
+        if op is OP_XOR:
             return self._gate_xor(
                 self._blast_bool(node.args[0]), self._blast_bool(node.args[1])
             )
-        if op is Op.IMPLIES:
+        if op is OP_IMPLIES:
             return self._gate_or(
                 [-self._blast_bool(node.args[0]), self._blast_bool(node.args[1])]
             )
-        if op is Op.EQ:
+        if op is OP_EQ:
             a, b = node.args
             if a.sort is BOOL:
                 return self._gate_iff(self._blast_bool(a), self._blast_bool(b))
@@ -418,15 +421,15 @@ class BitBlaster:
                 return self._gate_and(
                     self._order_le(ra, rb) + self._order_le(rb, ra))
             return self._vectors_eq(self._blast_int(a), self._blast_int(b))
-        if op is Op.LT or op is Op.LE:
+        if op is OP_LT or op is OP_LE:
             a, b = node.args
             if self._is_order(a) and self._is_order(b):
                 lo, lits = self._blast_order(a)
-                if op is Op.LT:  # a < b iff a + 1 <= b
+                if op is OP_LT:  # a < b iff a + 1 <= b
                     lo += 1
                 return self._gate_and(
                     self._order_le((lo, lits), self._blast_order(b)))
-            if op is Op.LT:
+            if op is OP_LT:
                 return self._signed_lt(self._blast_int(a), self._blast_int(b))
             return self._signed_le(self._blast_int(a), self._blast_int(b))
         raise ValueError(f"unexpected Bool operator {op}")  # pragma: no cover
@@ -435,7 +438,7 @@ class BitBlaster:
         cached = self._bits_cache.get(node)
         if cached is not None:
             return cached
-        if node.op is not Op.CONST and self._is_order(node):
+        if node.op is not OP_CONST and self._is_order(node):
             bits = self._order_to_bits(node)
         else:
             bits = self._compute_int(node)
@@ -445,26 +448,26 @@ class BitBlaster:
     def _compute_int(self, node: Term) -> list[int]:
         op = node.op
         width = self._width_of(node)
-        if op is Op.CONST:
-            return self._const_bits(node.value, width)  # type: ignore[arg-type]
-        if op is Op.VAR:
+        if op is OP_CONST:
+            return self._const_bits(node.payload, width)  # type: ignore[arg-type]
+        if op is OP_VAR:
             return self._int_var_bits(node)
-        if op is Op.ADD:
+        if op is OP_ADD:
             acc = self._blast_int(node.args[0])
             for arg in node.args[1:]:
                 acc = self._add_vectors(acc, self._blast_int(arg), width, -self._true)
             return self._sign_extend(acc, width)
-        if op is Op.SUB:
+        if op is OP_SUB:
             a = self._sign_extend(self._blast_int(node.args[0]), width)
             b = self._sign_extend(self._blast_int(node.args[1]), width)
             return self._add_vectors(a, [-x for x in b], width, self._true)
-        if op is Op.NEG:
+        if op is OP_NEG:
             return self._neg_vector(self._blast_int(node.args[0]), width)
-        if op is Op.MUL:
+        if op is OP_MUL:
             return self._mul_vectors(
                 self._blast_int(node.args[0]), self._blast_int(node.args[1]), width
             )
-        if op is Op.ITE:
+        if op is OP_ITE:
             cond = self._blast_bool(node.args[0])
             t = self._sign_extend(self._blast_int(node.args[1]), width)
             e = self._sign_extend(self._blast_int(node.args[2]), width)
@@ -481,7 +484,7 @@ class BitBlaster:
         parent needs it.
         """
         iv = self._interval_of(node)
-        return iv.hi - iv.lo < ORDER_MAX_VALUES and node.op is not Op.MUL
+        return iv.hi - iv.lo < ORDER_MAX_VALUES and node.op is not OP_MUL
 
     def _ge(self, rep: OrderRep, k: int) -> int:
         """The literal ``x >= k`` of an order representation."""
@@ -499,7 +502,7 @@ class BitBlaster:
             return cached
         if self._is_order(node):
             rep = self._compute_order(node)
-            if node.op is not Op.CONST:
+            if node.op is not OP_CONST:
                 self.order_nodes += 1
         else:
             rep = self._bits_to_order(node)
@@ -508,26 +511,26 @@ class BitBlaster:
 
     def _compute_order(self, node: Term) -> OrderRep:
         op = node.op
-        if op is Op.CONST:
-            return node.value, []  # type: ignore[return-value]
-        if op is Op.VAR:
+        if op is OP_CONST:
+            return node.payload, []  # type: ignore[return-value]
+        if op is OP_VAR:
             iv = self._interval_of(node)
             lits = [self._new_lit() for _ in range(iv.hi - iv.lo)]
             # x >= k+1 implies x >= k: fresh, distinct literals.
             self.cnf.clauses.extend(
                 [[lits[i], -lits[i + 1]] for i in range(len(lits) - 1)])
             rep = (iv.lo, lits)
-            self.varmap.order_vars[node.name] = rep
+            self.varmap.order_vars[node.payload[0]] = rep  # type: ignore[index]
             return rep
-        if op is Op.ADD:
+        if op is OP_ADD:
             return self._order_sum([self._blast_order(a) for a in node.args])
-        if op is Op.SUB:
+        if op is OP_SUB:
             a = self._blast_order(node.args[0])
             b = self._blast_order(node.args[1])
             return self._order_sum([a, _order_neg(b)])
-        if op is Op.NEG:
+        if op is OP_NEG:
             return _order_neg(self._blast_order(node.args[0]))
-        if op is Op.ITE:
+        if op is OP_ITE:
             cond = self._blast_bool(node.args[0])
             t = self._blast_order(node.args[1])
             e = self._blast_order(node.args[2])

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .sorts import INT
-from .terms import Op, Term, iter_dag
+from .terms import (
+    OP_ADD, OP_CONST, OP_ITE, OP_MUL, OP_NEG, OP_SUB, OP_VAR, Term, iter_dag,
+)
 
 
 @dataclass(frozen=True)
@@ -121,23 +123,24 @@ def infer_intervals(root: Term, env: BoundsEnv,
 
 
 def _node_interval(node: Term, cache: dict[Term, Interval], env: BoundsEnv) -> Interval:
-    if node.is_const:
-        v = node.value
+    op = node.op
+    if op is OP_CONST:
+        v = node.payload
         return Interval(v, v)  # type: ignore[arg-type]
-    if node.is_var:
-        return env.get(node.name)
+    if op is OP_VAR:
+        return env.get(node.payload[0])  # type: ignore[index]
     args = [cache[a] for a in node.args if a.sort is INT]
-    if node.op is Op.ADD:
+    if op is OP_ADD:
         acc = args[0]
         for iv in args[1:]:
             acc = acc + iv
         return acc
-    if node.op is Op.SUB:
+    if op is OP_SUB:
         return args[0] - args[1]
-    if node.op is Op.NEG:
+    if op is OP_NEG:
         return -args[0]
-    if node.op is Op.MUL:
+    if op is OP_MUL:
         return args[0] * args[1]
-    if node.op is Op.ITE:
+    if op is OP_ITE:
         return args[0].join(args[1])  # ITE's int args are (then, else)
-    raise ValueError(f"unexpected INT operator {node.op}")  # pragma: no cover
+    raise ValueError(f"unexpected INT operator {op}")  # pragma: no cover

@@ -61,6 +61,31 @@ class Op(enum.Enum):
         return self.value
 
 
+# The ``Op`` members as module globals, for hot code.  On Python 3.11
+# ``enum.EnumType`` defines ``__getattr__``, so every ``Op.X`` load costs
+# ~120 ns against ~9 ns for a global; the constructors, the interval
+# analysis and the bit-blaster test several operators per node.  Function
+# bodies in this module, ``intervals.py`` and ``bitblast.py`` use these
+# names (tests/test_term_layer.py checks it); cold modules may keep
+# ``Op.X``.
+OP_VAR = Op.VAR
+OP_CONST = Op.CONST
+OP_NOT = Op.NOT
+OP_AND = Op.AND
+OP_OR = Op.OR
+OP_XOR = Op.XOR
+OP_IMPLIES = Op.IMPLIES
+OP_EQ = Op.EQ
+OP_DISTINCT = Op.DISTINCT
+OP_ITE = Op.ITE
+OP_ADD = Op.ADD
+OP_SUB = Op.SUB
+OP_NEG = Op.NEG
+OP_MUL = Op.MUL
+OP_LT = Op.LT
+OP_LE = Op.LE
+
+
 class Term:
     """An immutable, interned term.
 
@@ -96,11 +121,11 @@ class Term:
 
     @property
     def is_var(self) -> bool:
-        return self.op is Op.VAR
+        return self.op is OP_VAR
 
     @property
     def is_const(self) -> bool:
-        return self.op is Op.CONST
+        return self.op is OP_CONST
 
     @property
     def name(self) -> str:
@@ -108,14 +133,14 @@ class Term:
 
         A variable's payload is the pair ``(name, sort value)``.
         """
-        if self.op is not Op.VAR:
+        if self.op is not OP_VAR:
             raise ValueError(f"not a variable: {self!r}")
         return self.payload[0]  # type: ignore[index]
 
     @property
     def value(self) -> Union[bool, int]:
         """Constant value (only valid for CONST terms)."""
-        if self.op is not Op.CONST:
+        if self.op is not OP_CONST:
             raise ValueError(f"not a constant: {self!r}")
         return self.payload  # type: ignore[return-value]
 
@@ -256,7 +281,7 @@ def mk_var(name: str, sort: Sort) -> Term:
     """An interned variable.  Same (name, sort) always yields the same term."""
     if not name:
         raise ValueError("variable name must be non-empty")
-    return _intern(Op.VAR, (), (name, sort.value), sort)
+    return _intern(OP_VAR, (), (name, sort.value), sort)
 
 
 def mk_bool_var(name: str) -> Term:
@@ -273,7 +298,7 @@ def fresh_var(prefix: str, sort: Sort) -> Term:
 
 
 def mk_bool(value: bool) -> Term:
-    return _intern(Op.CONST, (), bool(value), BOOL)
+    return _intern(OP_CONST, (), bool(value), BOOL)
 
 
 def mk_int(value: int) -> Term:
@@ -281,7 +306,7 @@ def mk_int(value: int) -> Term:
         raise TypeError(f"mk_int expects an int, got {value!r}")
     # The intern key does not hold the payload's type, so an int
     # subclass (an IntEnum, say) is stored as its plain value.
-    return _intern(Op.CONST, (), int(value), INT)
+    return _intern(OP_CONST, (), int(value), INT)
 
 
 TRUE = mk_bool(True)
@@ -302,46 +327,80 @@ def _check(args: Sequence[Term], sort: Sort, op: str) -> None:
 
 
 def mk_not(arg: Term) -> Term:
-    _check((arg,), BOOL, "not")
-    if arg.is_const:
-        return mk_bool(not arg.value)
-    if arg.op is Op.NOT:
+    if arg.__class__ is not Term or arg.sort is not BOOL:
+        _check((arg,), BOOL, "not")
+    op = arg.op
+    if op is OP_CONST:
+        return FALSE if arg.payload else TRUE
+    if op is OP_NOT:
         return arg.args[0]
-    return _intern(Op.NOT, (arg,), None, BOOL)
+    return _intern(OP_NOT, (arg,), None, BOOL)
 
 
 def mk_and(*args: TermLike) -> Term:
+    if len(args) == 2:
+        a, b = args
+        if (a.__class__ is Term and b.__class__ is Term and a.sort is BOOL
+                and b.sort is BOOL and a.op is not OP_AND
+                and b.op is not OP_AND):
+            # What the loop below returns for two unnested terms.
+            if a is FALSE or b is FALSE:
+                return FALSE
+            if a is TRUE:
+                return b
+            if b is TRUE or a is b:
+                return a
+            if ((b.op is OP_NOT and b.args[0] is a)
+                    or (a.op is OP_NOT and a.args[0] is b)):
+                return FALSE
+            return _intern(OP_AND, (a, b), None, BOOL)
     terms = [a if a.__class__ is Term and a.sort is BOOL else _coerce(a, BOOL)
              for a in args]
     out: list[Term] = []
     seen: set[Term] = set()
     for t in terms:
-        for a in t.args if t.op is Op.AND else (t,):  # flatten nested ANDs
+        for a in t.args if t.op is OP_AND else (t,):  # flatten nested ANDs
             if a is FALSE:
                 return FALSE
             if a is TRUE or a in seen:
                 continue
-            if a.op is Op.NOT and a.args[0] in seen:
+            if a.op is OP_NOT and a.args[0] in seen:
                 return FALSE
             seen.add(a)
             out.append(a)
     for a in out:
-        if a.op is Op.NOT and a.args[0] in seen:
+        if a.op is OP_NOT and a.args[0] in seen:
             return FALSE
     if not out:
         return TRUE
     if len(out) == 1:
         return out[0]
-    return _intern(Op.AND, tuple(out), None, BOOL)
+    return _intern(OP_AND, tuple(out), None, BOOL)
 
 
 def mk_or(*args: TermLike) -> Term:
+    if len(args) == 2:
+        a, b = args
+        if (a.__class__ is Term and b.__class__ is Term and a.sort is BOOL
+                and b.sort is BOOL and a.op is not OP_OR
+                and b.op is not OP_OR):
+            # What the loop below returns for two unnested terms.
+            if a is TRUE or b is TRUE:
+                return TRUE
+            if a is FALSE:
+                return b
+            if b is FALSE or a is b:
+                return a
+            if ((b.op is OP_NOT and b.args[0] is a)
+                    or (a.op is OP_NOT and a.args[0] is b)):
+                return TRUE
+            return _intern(OP_OR, (a, b), None, BOOL)
     terms = [a if a.__class__ is Term and a.sort is BOOL else _coerce(a, BOOL)
              for a in args]
     out: list[Term] = []
     seen: set[Term] = set()
     for t in terms:
-        for a in t.args if t.op is Op.OR else (t,):  # flatten nested ORs
+        for a in t.args if t.op is OP_OR else (t,):  # flatten nested ORs
             if a is TRUE:
                 return TRUE
             if a is FALSE or a in seen:
@@ -349,13 +408,13 @@ def mk_or(*args: TermLike) -> Term:
             seen.add(a)
             out.append(a)
     for a in out:
-        if a.op is Op.NOT and a.args[0] in seen:
+        if a.op is OP_NOT and a.args[0] in seen:
             return TRUE
     if not out:
         return FALSE
     if len(out) == 1:
         return out[0]
-    return _intern(Op.OR, tuple(out), None, BOOL)
+    return _intern(OP_OR, tuple(out), None, BOOL)
 
 
 #: The commutative operators whose constructors (``mk_xor``, ``mk_eq``,
@@ -364,24 +423,28 @@ def mk_or(*args: TermLike) -> Term:
 #: it still depends on which argument was built first, so anything keyed
 #: on the formula alone (the result cache's keys) reads these arguments
 #: as unordered.
-ID_ORDERED_OPS = frozenset({Op.XOR, Op.EQ, Op.MUL})
+ID_ORDERED_OPS = frozenset({OP_XOR, OP_EQ, OP_MUL})
 
 
 def mk_xor(a: Term, b: Term) -> Term:
-    _check((a, b), BOOL, "xor")
-    if a.is_const:
-        return mk_not(b) if a.value else b
-    if b.is_const:
-        return mk_not(a) if b.value else a
+    if (a.__class__ is not Term or b.__class__ is not Term
+            or a.sort is not BOOL or b.sort is not BOOL):
+        _check((a, b), BOOL, "xor")
+    if a.op is OP_CONST:
+        return mk_not(b) if a.payload else b
+    if b.op is OP_CONST:
+        return mk_not(a) if b.payload else a
     if a is b:
         return FALSE
     if a.serial > b.serial:  # canonical order for commutativity
         a, b = b, a
-    return _intern(Op.XOR, (a, b), None, BOOL)
+    return _intern(OP_XOR, (a, b), None, BOOL)
 
 
 def mk_implies(a: Term, b: Term) -> Term:
-    _check((a, b), BOOL, "=>")
+    if (a.__class__ is not Term or b.__class__ is not Term
+            or a.sort is not BOOL or b.sort is not BOOL):
+        _check((a, b), BOOL, "=>")
     if a is TRUE:
         return b
     if a is FALSE or b is TRUE:
@@ -390,7 +453,7 @@ def mk_implies(a: Term, b: Term) -> Term:
         return mk_not(a)
     if a is b:
         return TRUE
-    return _intern(Op.IMPLIES, (a, b), None, BOOL)
+    return _intern(OP_IMPLIES, (a, b), None, BOOL)
 
 
 def mk_iff(a: Term, b: Term) -> Term:
@@ -405,11 +468,11 @@ def mk_eq(a: Term, b: Term) -> Term:
         raise TypeError(f"=: sort mismatch {a.sort} vs {b.sort}")
     if a is b:
         return TRUE
-    if a.is_const and b.is_const:
-        return mk_bool(a.value == b.value)
+    if a.op is OP_CONST and b.op is OP_CONST:
+        return mk_bool(a.payload == b.payload)
     if a.serial > b.serial:
         a, b = b, a
-    return _intern(Op.EQ, (a, b), None, BOOL)
+    return _intern(OP_EQ, (a, b), None, BOOL)
 
 
 def mk_distinct(*args: Term) -> Term:
@@ -440,7 +503,7 @@ def mk_ite(cond: Term, then: Term, els: Term) -> Term:
             return mk_not(cond)
         # Encode boolean ite with connectives; keeps the Bool layer pure.
         return mk_and(mk_implies(cond, then), mk_implies(mk_not(cond), els))
-    return _intern(Op.ITE, (cond, then, els), None, sort)
+    return _intern(OP_ITE, (cond, then, els), None, sort)
 
 
 # ----- arithmetic constructors ----------------------------------------------
@@ -452,8 +515,8 @@ def mk_add(*args: TermLike) -> Term:
     const = 0
     out: list[Term] = []
     for t in terms:
-        for a in t.args if t.op is Op.ADD else (t,):  # flatten nested sums
-            if a.op is Op.CONST:
+        for a in t.args if t.op is OP_ADD else (t,):  # flatten nested sums
+            if a.op is OP_CONST:
                 const += a.payload  # type: ignore[operator]
             else:
                 out.append(a)
@@ -461,63 +524,74 @@ def mk_add(*args: TermLike) -> Term:
         out.append(mk_int(const))
     if len(out) == 1:
         return out[0]
-    return _intern(Op.ADD, tuple(out), None, INT)
+    return _intern(OP_ADD, tuple(out), None, INT)
 
 
 def mk_sub(a: Term, b: Term) -> Term:
-    _check((a, b), INT, "-")
-    if b.is_const and b.value == 0:
-        return a
-    if a.is_const and b.is_const:
-        return mk_int(a.value - b.value)  # type: ignore[operator]
+    if (a.__class__ is not Term or b.__class__ is not Term
+            or a.sort is not INT or b.sort is not INT):
+        _check((a, b), INT, "-")
+    if b.op is OP_CONST:
+        if b.payload == 0:
+            return a
+        if a.op is OP_CONST:
+            return mk_int(a.payload - b.payload)  # type: ignore[operator]
     if a is b:
         return ZERO
-    return _intern(Op.SUB, (a, b), None, INT)
+    return _intern(OP_SUB, (a, b), None, INT)
 
 
 def mk_neg(a: Term) -> Term:
-    _check((a,), INT, "neg")
-    if a.is_const:
-        return mk_int(-a.value)  # type: ignore[operator]
-    if a.op is Op.NEG:
+    if a.__class__ is not Term or a.sort is not INT:
+        _check((a,), INT, "neg")
+    op = a.op
+    if op is OP_CONST:
+        return mk_int(-a.payload)  # type: ignore[operator]
+    if op is OP_NEG:
         return a.args[0]
-    return _intern(Op.NEG, (a,), None, INT)
+    return _intern(OP_NEG, (a,), None, INT)
 
 
 def mk_mul(a: Term, b: Term) -> Term:
-    _check((a, b), INT, "*")
-    if a.is_const and b.is_const:
-        return mk_int(a.value * b.value)  # type: ignore[operator]
+    if (a.__class__ is not Term or b.__class__ is not Term
+            or a.sort is not INT or b.sort is not INT):
+        _check((a, b), INT, "*")
+    if a.op is OP_CONST and b.op is OP_CONST:
+        return mk_int(a.payload * b.payload)  # type: ignore[operator]
     for c, x in ((a, b), (b, a)):
-        if c.is_const:
-            if c.value == 0:
+        if c.op is OP_CONST:
+            if c.payload == 0:
                 return ZERO
-            if c.value == 1:
+            if c.payload == 1:
                 return x
-            if c.value == -1:
+            if c.payload == -1:
                 return mk_neg(x)
-            return _intern(Op.MUL, (c, x), None, INT)
+            return _intern(OP_MUL, (c, x), None, INT)
     if a.serial > b.serial:
         a, b = b, a
-    return _intern(Op.MUL, (a, b), None, INT)
+    return _intern(OP_MUL, (a, b), None, INT)
 
 
 def mk_lt(a: Term, b: Term) -> Term:
-    _check((a, b), INT, "<")
-    if a.is_const and b.is_const:
-        return mk_bool(a.value < b.value)  # type: ignore[operator]
+    if (a.__class__ is not Term or b.__class__ is not Term
+            or a.sort is not INT or b.sort is not INT):
+        _check((a, b), INT, "<")
+    if a.op is OP_CONST and b.op is OP_CONST:
+        return mk_bool(a.payload < b.payload)  # type: ignore[operator]
     if a is b:
         return FALSE
-    return _intern(Op.LT, (a, b), None, BOOL)
+    return _intern(OP_LT, (a, b), None, BOOL)
 
 
 def mk_le(a: Term, b: Term) -> Term:
-    _check((a, b), INT, "<=")
-    if a.is_const and b.is_const:
-        return mk_bool(a.value <= b.value)  # type: ignore[operator]
+    if (a.__class__ is not Term or b.__class__ is not Term
+            or a.sort is not INT or b.sort is not INT):
+        _check((a, b), INT, "<=")
+    if a.op is OP_CONST and b.op is OP_CONST:
+        return mk_bool(a.payload <= b.payload)  # type: ignore[operator]
     if a is b:
         return TRUE
-    return _intern(Op.LE, (a, b), None, BOOL)
+    return _intern(OP_LE, (a, b), None, BOOL)
 
 
 def mk_min(a: Term, b: Term) -> Term:
@@ -565,7 +639,7 @@ def iter_dag(root: Term) -> Iterator[Term]:
 
 def free_vars(root: Term) -> list[Term]:
     """All variables occurring in ``root`` (deterministic DAG order)."""
-    return [t for t in iter_dag(root) if t.op is Op.VAR]
+    return [t for t in iter_dag(root) if t.op is OP_VAR]
 
 
 def dag_size(root: Term) -> int:
@@ -596,24 +670,24 @@ def substitute(root: Term, mapping: Mapping[Term, Term]) -> Term:
 
 def rebuild(op: Op, args: tuple[Term, ...], payload: object) -> Term:
     """Re-apply a constructor for ``op`` to new args (with normalization)."""
-    if op is Op.VAR:
+    if op is OP_VAR:
         return mk_var(payload[0], BOOL if payload[1] == "Bool" else INT)  # type: ignore[index]
-    if op is Op.CONST:
+    if op is OP_CONST:
         return mk_bool(payload) if isinstance(payload, bool) else mk_int(payload)  # type: ignore[arg-type]
     builders: dict[Op, Callable[..., Term]] = {
-        Op.NOT: mk_not,
-        Op.AND: mk_and,
-        Op.OR: mk_or,
-        Op.XOR: mk_xor,
-        Op.IMPLIES: mk_implies,
-        Op.EQ: mk_eq,
-        Op.ITE: mk_ite,
-        Op.ADD: mk_add,
-        Op.SUB: mk_sub,
-        Op.NEG: mk_neg,
-        Op.MUL: mk_mul,
-        Op.LT: mk_lt,
-        Op.LE: mk_le,
+        OP_NOT: mk_not,
+        OP_AND: mk_and,
+        OP_OR: mk_or,
+        OP_XOR: mk_xor,
+        OP_IMPLIES: mk_implies,
+        OP_EQ: mk_eq,
+        OP_ITE: mk_ite,
+        OP_ADD: mk_add,
+        OP_SUB: mk_sub,
+        OP_NEG: mk_neg,
+        OP_MUL: mk_mul,
+        OP_LT: mk_lt,
+        OP_LE: mk_le,
     }
     return builders[op](*args)
 
@@ -656,9 +730,9 @@ def evaluate_memo(root: Term, memo: dict[Term, Union[bool, int]],
             continue
         stack.pop()
         op = node.op
-        if op is Op.CONST:
+        if op is OP_CONST:
             memo[node] = node.payload  # type: ignore[assignment]
-        elif op is Op.VAR:
+        elif op is OP_VAR:
             memo[node] = value_of(node)
         else:
             memo[node] = _eval_op(op, [memo[a] for a in node.args])
@@ -666,31 +740,31 @@ def evaluate_memo(root: Term, memo: dict[Term, Union[bool, int]],
 
 
 def _eval_op(op: Op, vals: Sequence[Union[bool, int]]):
-    if op is Op.NOT:
+    if op is OP_NOT:
         return not vals[0]
-    if op is Op.AND:
+    if op is OP_AND:
         return all(vals)
-    if op is Op.OR:
+    if op is OP_OR:
         return any(vals)
-    if op is Op.XOR:
+    if op is OP_XOR:
         return bool(vals[0]) != bool(vals[1])
-    if op is Op.IMPLIES:
+    if op is OP_IMPLIES:
         return (not vals[0]) or bool(vals[1])
-    if op is Op.EQ:
+    if op is OP_EQ:
         return vals[0] == vals[1]
-    if op is Op.ITE:
+    if op is OP_ITE:
         return vals[1] if vals[0] else vals[2]
-    if op is Op.ADD:
+    if op is OP_ADD:
         return sum(vals)
-    if op is Op.SUB:
+    if op is OP_SUB:
         return vals[0] - vals[1]
-    if op is Op.NEG:
+    if op is OP_NEG:
         return -vals[0]
-    if op is Op.MUL:
+    if op is OP_MUL:
         return vals[0] * vals[1]
-    if op is Op.LT:
+    if op is OP_LT:
         return vals[0] < vals[1]
-    if op is Op.LE:
+    if op is OP_LE:
         return vals[0] <= vals[1]
     raise ValueError(f"cannot evaluate operator {op}")  # pragma: no cover
 

@@ -6,24 +6,35 @@ one memo per model, and the AND/XOR/ITE gates append their
 clauses without ``CNF.add_clause``.  Each shortcut must give exactly
 what the generic path gives: the same interned object, the same value,
 the same stored clause.  Commutative arguments are ordered by creation
-serial, so the CNF of a formula repeats from process to process.
+serial, so the CNF of a formula repeats from process to process.  The
+two-argument ``mk_and``/``mk_or`` paths return what the n-ary loop
+returns, the guarded constructors raise what ``_check`` raises, and the
+hot modules name operators through the ``OP_*`` alias set.
 """
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
 import textwrap
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.smt import bitblast, intervals, terms
 from repro.smt.bitblast import BitBlaster
 from repro.smt.cnf import CNF
 from repro.smt.model import Model
 from repro.smt.sorts import BOOL, INT
 from repro.smt.terms import (
+    FALSE,
     ID_ORDERED_OPS,
+    TRUE,
     Op,
+    Term,
+    _check,
     _intern,
     evaluate,
     iter_dag,
@@ -338,3 +349,110 @@ def test_cnf_repeats_across_fresh_processes():
         for _ in range(5)
     }
     assert len(digests) == 1
+
+
+# ----- the Op alias set --------------------------------------------------------
+
+HOT_MODULES = (terms, intervals, bitblast)
+
+
+def test_every_op_member_has_exactly_one_public_alias():
+    aliases = {name: value for name, value in vars(terms).items()
+               if isinstance(value, Op) and not name.startswith("_")}
+    assert aliases == {f"OP_{member.name}": member for member in Op}
+    for member in Op:
+        assert getattr(terms, f"OP_{member.name}") is member
+
+
+@pytest.mark.parametrize("module", HOT_MODULES, ids=lambda m: m.__name__)
+def test_hot_function_bodies_load_no_op_member(module):
+    """Function bodies name operators through the OP_* globals: on
+    Python 3.11 each ``Op.X`` load goes through ``EnumType.__getattr__``.
+    Module level and class bodies may keep ``Op.X``."""
+    tree = ast.parse(inspect.getsource(module))
+    loads = sorted(
+        f"{func.name}:{node.lineno}: Op.{node.attr}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "Op" and node.attr in Op.__members__)
+    assert loads == []
+
+
+# ----- two-argument AND/OR and the guarded argument checks ---------------------
+
+
+@st.composite
+def bool_pairs(draw):
+    """Two Bool terms that hit the two-argument paths' cases: constants,
+    one term twice, a term and its complement (either order), nested
+    AND/OR arguments."""
+    p, q, r = BOOL_VARS
+
+    def atom():
+        return draw(st.sampled_from(
+            [p, q, r, mk_not(p), mk_not(q), TRUE, FALSE,
+             mk_and(p, q), mk_and(q, mk_not(r)), mk_and(p, q, r),
+             mk_or(p, q), mk_or(mk_not(p), r), mk_or(p, q, r),
+             mk_xor(p, r), mk_implies(q, r)]))
+
+    a = atom()
+    relation = draw(st.sampled_from(["any", "same", "not"]))
+    b = atom() if relation == "any" else a if relation == "same" else mk_not(a)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+@given(bool_pairs())
+@settings(max_examples=300, deadline=None)
+def test_two_argument_and_or_return_the_n_ary_result(pair):
+    a, b = pair
+    assert mk_and(a, b) is mk_and(a, b, TRUE) is mk_and(TRUE, a, b)
+    assert mk_or(a, b) is mk_or(a, b, FALSE) is mk_or(FALSE, a, b)
+    assert mk_and(b, a) is mk_and(b, a, TRUE)
+    assert mk_or(b, a) is mk_or(b, a, FALSE)
+
+
+def _type_error(build, *args):
+    with pytest.raises(TypeError) as info:
+        build(*args)
+    return str(info.value)
+
+
+GUARDED = [
+    (mk_not, BOOL, 1, "not"),
+    (mk_xor, BOOL, 2, "xor"),
+    (mk_implies, BOOL, 2, "=>"),
+    (mk_sub, INT, 2, "-"),
+    (mk_neg, INT, 1, "neg"),
+    (mk_mul, INT, 2, "*"),
+    (mk_lt, INT, 2, "<"),
+    (mk_le, INT, 2, "<="),
+]
+
+
+@given(st.sampled_from(GUARDED), st.integers(0, 1),
+       st.sampled_from([None, "x", 1.5, 3, True, BOOL_VARS[0], INT_VARS[0],
+                        mk_int(2), FALSE]))
+@settings(max_examples=200, deadline=None)
+def test_guarded_constructors_raise_what_check_raises(spec, position, bad):
+    build, sort, arity, name = spec
+    good = BOOL_VARS[1] if sort is BOOL else INT_VARS[1]
+    args = [good] * arity
+    args[min(position, arity - 1)] = bad
+    if isinstance(bad, Term) and bad.sort is sort:
+        build(*args)  # a well-sorted term passes the guard
+        return
+    assert _type_error(build, *args) == _type_error(_check, args, sort, name)
+
+
+@pytest.mark.parametrize("bad", [None, "x", 3, INT_VARS[0], mk_int(1)])
+def test_ite_and_n_ary_constructors_keep_their_errors(bad):
+    p, x = BOOL_VARS[0], INT_VARS[1]
+    assert (_type_error(mk_ite, bad, x, x)
+            == _type_error(_check, [bad], BOOL, "ite"))
+    for build, unit in ((mk_and, TRUE), (mk_or, FALSE)):
+        assert (_type_error(build, bad, p) == _type_error(build, bad, p, unit)
+                == _type_error(build, p, bad, unit))
