@@ -79,17 +79,6 @@ def work_conservation(backend: SmtBackend, inputs: Sequence[str],
     return mk_and(*conjuncts)
 
 
-def served_exactly(backend: SmtBackend, label: str, count: int) -> Term:
-    return mk_eq(backend.deq_count(label), mk_int(count))
-
-
-def total_service(backend: SmtBackend, labels: Sequence[str]) -> Term:
-    total = mk_int(0)
-    for label in labels:
-        total = total + backend.deq_count(label)
-    return total
-
-
 def ordering_fifo(backend: SmtBackend, output: str, first_flow: int,
                   second_flow: int, step: int = -1) -> Term:
     """Order-sensitive query: at ``step``, the head-of-line packet in

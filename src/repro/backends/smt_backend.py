@@ -33,7 +33,7 @@ from ..runtime.budget import Budget, BudgetExhausted, ResourceReport
 from ..smt.model import Model
 from ..smt.sat.cdcl import CDCLConfig
 from ..smt.solver import CheckResult, SmtSolver, SolverStats, governed_check
-from ..smt.terms import TRUE, Term, mk_and, mk_not, mk_or
+from ..smt.terms import Term, mk_not, mk_or
 from .base import AnalysisBackend
 
 
@@ -200,10 +200,6 @@ class SmtBackend(AnalysisBackend):
 
     def monitor(self, name: str, step: int = -1):
         return self.machine.snapshots[step].monitors[name]
-
-    def assertion_conjunction(self) -> Term:
-        return mk_and(*[ob.formula for ob in self.machine.obligations]) \
-            if self.machine.obligations else TRUE
 
     # ----- solving -----------------------------------------------------------------
 

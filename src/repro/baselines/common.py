@@ -92,10 +92,6 @@ class BaselineContext:
         self._fresh += 1
         return self._int(f"{tag}_f{self._fresh}", lo, hi)
 
-    def fresh_bool(self, tag: str) -> Term:
-        self._fresh += 1
-        return mk_bool_var(f"{self.name}_{tag}_f{self._fresh}")
-
     def add(self, constraint: Term) -> None:
         self.constraints.append(constraint)
 
@@ -204,37 +200,3 @@ class BaselineList:
     def head(self) -> Term:
         return mk_ite(self.empty(), mk_int(-1), self.elems[0])
 
-    def push_if(self, cond: Term, value: Term, tag: str) -> "BaselineList":
-        """New list state: ``value`` appended when ``cond`` (and room)."""
-        ctx = self.ctx
-        nxt = self._next(tag)
-        do = mk_and(cond, mk_lt(self.length, mk_int(self.capacity)))
-        ctx.add(mk_implies(do, mk_eq(nxt.length, self.length + mk_int(1))))
-        ctx.add(mk_implies(mk_not(do), mk_eq(nxt.length, self.length)))
-        for i in range(self.capacity):
-            at = mk_and(do, mk_eq(self.length, mk_int(i)))
-            ctx.add(mk_implies(at, mk_eq(nxt.elems[i], value)))
-            ctx.add(mk_implies(mk_not(at), mk_eq(nxt.elems[i], self.elems[i])))
-        return nxt
-
-    def pop_if(self, cond: Term, tag: str) -> tuple["BaselineList", Term]:
-        """New list state and popped value (-1 when empty or not popped)."""
-        ctx = self.ctx
-        nxt = self._next(tag)
-        do = mk_and(cond, mk_lt(ZERO, self.length))
-        value = ctx.fresh_int(f"{self.name}_{tag}_pop", -1, self.max_value)
-        ctx.add(mk_implies(do, mk_eq(value, self.elems[0])))
-        ctx.add(mk_implies(mk_not(do), mk_eq(value, mk_int(-1))))
-        ctx.add(mk_implies(do, mk_eq(nxt.length, self.length - mk_int(1))))
-        ctx.add(mk_implies(mk_not(do), mk_eq(nxt.length, self.length)))
-        for i in range(self.capacity - 1):
-            ctx.add(mk_implies(do, mk_eq(nxt.elems[i], self.elems[i + 1])))
-            ctx.add(
-                mk_implies(mk_not(do), mk_eq(nxt.elems[i], self.elems[i]))
-            )
-        last = self.capacity - 1
-        ctx.add(mk_implies(do, mk_eq(nxt.elems[last], mk_int(-1))))
-        ctx.add(
-            mk_implies(mk_not(do), mk_eq(nxt.elems[last], self.elems[last]))
-        )
-        return nxt, value

@@ -158,9 +158,6 @@ class ProgressBeacon:
 
     # ----- emission ---------------------------------------------------------
 
-    def current_job(self) -> Optional[str]:
-        return _JOB.get()
-
     def current_phase(self) -> dict[str, Any]:
         return dict(_PHASE.get())
 

@@ -22,6 +22,17 @@ An optional :class:`repro.runtime.EscalationPolicy` retries retryable
 UNKNOWNs (per-call conflict caps) with varied CDCL configurations
 before giving up.
 
+Every ``check()`` runs one path over a solver *session*: one
+bit-blaster and one CDCL solver.  It probes the result cache, encodes
+and loads, picks a solve strategy, handles the result and certifies an
+UNSAT, in that order.  ``incremental=True`` keeps the session alive
+across ``check()`` calls: assumptions become SAT-level assumption
+literals, push/pop frames become activation literals, and learned
+clauses survive — the mode `DafnyBackend` and Houdini use to discharge
+many near-identical queries against one shared encoding.  Otherwise
+the session lives for one check: its root frame holds the assertions
+plus the assumptions, with no activation literal.
+
 The solving engine (:mod:`repro.engine`) adds opt-in modes under this
 same facade.  ``options=`` takes an :class:`repro.engine.EngineOptions`;
 left at ``None`` it is resolved once, here in the constructor, from the
@@ -37,11 +48,9 @@ left at ``None`` it is resolved once, here in the constructor, from the
   the independent :mod:`repro.trust` checker accepts.
 * ``checkpoints`` lets a budget-exhausted sequential solve resume.
 
-``incremental=True`` keeps one bit-blasted CNF and one CDCL solver
-alive across ``check()`` calls: assumptions become SAT-level assumption
-literals, push/pop frames become activation literals, and learned
-clauses survive — the mode `DafnyBackend` and Houdini use to discharge
-many near-identical queries against one shared encoding.
+The cache, the escalation ladder, the portfolio and checkpoints apply
+to single-check sessions only.  An incremental session's ladder is its
+one rung: its live solver under the assumption literals.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from ..runtime.budget import (
     SolverFault,
 )
 from ..engine.options import EngineOptions
-from ..trust import Certificate, DratChecker, DratError, ProofLog
+from ..trust import Certificate, DratChecker, ProofLog
 from .bitblast import BitBlaster
 from .intervals import BoundsEnv, Interval
 from .model import Model
@@ -102,10 +111,13 @@ class _SolveOutcome:
     # UNSAT-under-assumptions) the failing assumption literals.
     proof: Optional[list] = None
     core: tuple = ()
+    # The session's own solver answered, so its proof extends what the
+    # session's live checker has already accepted.
+    live: bool = False
 
 
-class _IncFrame:
-    """Bookkeeping for one assertion-stack frame in incremental mode."""
+class _Frame:
+    """Bookkeeping for one assertion-stack frame of a session."""
 
     __slots__ = ("act", "encoded")
 
@@ -114,29 +126,33 @@ class _IncFrame:
         self.encoded = 0    # formulas of this frame already encoded
 
 
-class _IncrementalSession:
-    """One live (BitBlaster, CDCLSolver) pair reused across checks.
+class _Session:
+    """One (BitBlaster, CDCLSolver) pair and the checks it serves.
 
-    Push frames get an *activation literal*: every formula ``f`` of the
-    frame is encoded as the guard clause ``(-act ∨ lit(f))`` and ``act``
-    is assumed during solves.  Popping retires the frame by permanently
-    asserting ``-act`` — its clauses become vacuous, while everything
-    learned from them stays valid (learnt clauses can only mention
-    ``-act``, which is now true).
+    A single-check session lives for one ``check()``: its root frame
+    holds the assertions plus the assumptions, encoded with
+    ``assert_formula`` and no activation literal.  An incremental
+    session persists across checks.  Its push frames get an *activation
+    literal*: every formula ``f`` of the frame is encoded as the guard
+    clause ``(-act ∨ lit(f))`` and ``act`` is assumed during solves.
+    Popping retires the frame by permanently asserting ``-act`` — its
+    clauses become vacuous, while everything learned from them stays
+    valid (learnt clauses can only mention ``-act``, which is now true).
     """
 
     def __init__(self, bounds: BoundsEnv, config: Optional[CDCLConfig],
                  budget: Optional[Budget],
-                 proof: Optional[ProofLog] = None):
+                 proof: Optional[ProofLog] = None,
+                 incremental: bool = True):
         self.blaster = BitBlaster(bounds=bounds, budget=budget)
-        self.proof = proof
         self.sat = CDCLSolver(0, config, budget=budget, proof=proof)
-        self.frames: list[_IncFrame] = [_IncFrame(act=None)]
+        self.incremental = incremental
+        self.path = "incremental" if incremental else "oneshot"
+        self.frames: list[_Frame] = [_Frame(act=None)]
         self.retired_acts: list[int] = []
         self.loaded_clauses = 0
-        self.budget = budget
-        # Live incremental DRAT checker: certified UNSAT answers feed it
-        # only the clauses/steps that appeared since the last check, so
+        # Live DRAT checker: a certified UNSAT feeds it only the clauses
+        # and proof steps that appeared since the last certification, so
         # certifying N answers on one growing formula stays linear.
         self.checker: Optional[DratChecker] = None
         self.checked_clauses = 0
@@ -160,7 +176,7 @@ class _IncrementalSession:
             blaster.cnf.add_clause([-act])
         self.retired_acts.clear()
         while len(self.frames) < len(stack):
-            self.frames.append(_IncFrame(act=blaster.cnf.new_var()))
+            self.frames.append(_Frame(act=blaster.cnf.new_var()))
             if METRICS.enabled:
                 METRICS.counter_inc("repro_incremental_frames_pushed_total")
         for frame, formulas in zip(self.frames, stack):
@@ -182,7 +198,7 @@ class _IncrementalSession:
         sat.backtrack_to_root()
         sat._ensure_vars(self.blaster.cnf.num_vars)
         clauses = self.blaster.cnf.clauses
-        with TRACER.span("cnf-load", path="incremental",
+        with TRACER.span("cnf-load", path=self.path,
                          clauses=len(clauses) - self.loaded_clauses):
             try:
                 # False only on root-level unsat, which consumes the rest.
@@ -233,7 +249,7 @@ class SmtSolver:
         self.certificate: Optional[Certificate] = None
         self._bounds = BoundsEnv(default=default_bounds)
         self._stack: list[list[Term]] = [[]]
-        self._inc: Optional[_IncrementalSession] = None
+        self._session: Optional[_Session] = None
         self._model: Optional[Model] = None
         self._last_result: Optional[CheckResult] = None
         self.last_report: Optional[ResourceReport] = None
@@ -266,8 +282,8 @@ class SmtSolver:
         """
         name = var.name if isinstance(var, Term) else var
         if (
-            self._inc is not None
-            and self._inc.blaster.varmap.encodes_int(name)
+            self._session is not None
+            and self._session.blaster.varmap.encodes_int(name)
             and self._bounds.get(name) != Interval(lo, hi)
         ):
             raise RuntimeError(
@@ -288,8 +304,8 @@ class SmtSolver:
         if len(self._stack) == 1:
             raise RuntimeError("pop without matching push")
         self._stack.pop()
-        if self._inc is not None:
-            self._inc.retire_to(len(self._stack))
+        if self._session is not None:
+            self._session.retire_to(len(self._stack))
 
     # ----- solving ---------------------------------------------------------------
 
@@ -306,9 +322,6 @@ class SmtSolver:
         self.last_report = None
         self.certificate = None
         self._last_core_terms = None
-        formulas = self.assertions() + [
-            a for a in assumptions if a is not TRUE
-        ]
         for a in assumptions:
             if a.sort is not BOOL:
                 raise TypeError("assumptions must be Bool terms")
@@ -345,56 +358,91 @@ class SmtSolver:
         if METRICS.enabled:
             METRICS.counter_inc("repro_solver_checks_total", path=path)
         with TRACER.span("check", path=path):
-            if self.incremental:
-                return self._check_incremental(list(assumptions))
-            return self._check_oneshot(formulas)
+            return self._check(list(assumptions))
 
-    # ----- one-shot path (with cache and parallel portfolio) -------------------
-
-    def _check_oneshot(self, formulas: list[Term]) -> CheckResult:
+    def _check(self, assumptions: list[Term]) -> CheckResult:
+        """The one check path: session, cache, encode, solve, answer."""
         certify = self.options.certify
-        cache = self.options.cache
+        cache = None
         cache_key: Optional[str] = None
-        if cache is not None:
-            from ..engine.cache import formula_fingerprint
+        stack: Sequence[Sequence[Term]] = self._stack
+        sess = self._session
+        if sess is None:
+            if not self.incremental:
+                # A single check's root frame holds the assertions plus
+                # the assumptions; nothing is assumed at the SAT level.
+                formulas = self.assertions() + [
+                    a for a in assumptions if a is not TRUE
+                ]
+                stack, assumptions = [formulas], []
+                cache = self.options.cache
+                if cache is not None:
+                    from ..engine.cache import formula_fingerprint
 
-            cache_key = formula_fingerprint(formulas, self._bounds)
-            hit = cache.get(cache_key)
-            if hit is not None:
-                result = self._replay_cached(formulas, hit)
-                if result is not None:
-                    return result
+                    cache_key = formula_fingerprint(formulas, self._bounds)
+                    hit = cache.get(cache_key)
+                    if hit is not None:
+                        result = self._replay_cached(formulas, hit)
+                        if result is not None:
+                            return result
+            sess = _Session(
+                self._bounds, self.sat_config, self.budget,
+                proof=ProofLog() if certify else None,
+                incremental=self.incremental,
+            )
+            if self.incremental:
+                self._session = sess
+        if sess.incremental and METRICS.enabled:
+            METRICS.counter_inc("repro_incremental_checks_total")
+            # Clauses already loaded into the live CDCL solver are work
+            # this check inherits instead of redoing.
+            METRICS.counter_inc(
+                "repro_incremental_clauses_reused_total", sess.loaded_clauses
+            )
 
+        cnf = sess.blaster.cnf
+        self.last_restored_learnts = 0
         t0 = time.perf_counter()
-        blaster = BitBlaster(bounds=self._bounds, budget=self.budget)
         try:
-            with TRACER.span("bitblast", formulas=len(formulas)) as sp:
-                for f in formulas:
-                    blaster.assert_formula(f)
-                sp.set("cnf_vars", blaster.cnf.num_vars)
-                sp.set("cnf_clauses", len(blaster.cnf.clauses))
+            with TRACER.span("bitblast", path=sess.path,
+                             frames=len(stack)) as sp:
+                lits = sess.sync(stack, assumptions)
+                sp.set("cnf_vars", cnf.num_vars)
+                sp.set("cnf_clauses", len(cnf.clauses))
+            t1 = time.perf_counter()
+            configs: list[Optional[CDCLConfig]] = [self.sat_config]
+            if not sess.incremental and self.escalation is not None:
+                configs.extend(
+                    self.escalation.ladder(self.sat_config, self.budget)
+                )
+            outcome = None
+            if not sess.incremental and self.options.jobs > 1:
+                outcome = self._solve_parallel(cnf, configs)
+            if outcome is None:
+                sess.load_clauses()
+                outcome = self._solve_sequential(sess, lits, configs)
         except BudgetExhausted as exc:
             return self._exhausted(
                 exc.report,
                 SolverStats(
                     encode_seconds=time.perf_counter() - t0,
-                    cnf_vars=blaster.cnf.num_vars,
-                    cnf_clauses=len(blaster.cnf.clauses),
+                    cnf_vars=cnf.num_vars,
+                    cnf_clauses=len(cnf.clauses),
                 ),
             )
-        t1 = time.perf_counter()
-
-        outcome = self._solve_with_escalation(blaster)
         t2 = time.perf_counter()
-
         self.stats = SolverStats(
             encode_seconds=t1 - t0,
             solve_seconds=t2 - t1,
-            cnf_vars=blaster.cnf.num_vars,
-            cnf_clauses=len(blaster.cnf.clauses),
+            cnf_vars=cnf.num_vars,
+            cnf_clauses=len(cnf.clauses),
             attempts=outcome.attempts,
             sat=outcome.stats,
-            sat_lifetime=outcome.stats,  # one-shot: per-call == lifetime
+            # An incremental session's solver lives across checks: its
+            # raw counters mix all previous queries.
+            sat_lifetime=(
+                sess.sat.stats if sess.incremental else outcome.stats
+            ),
         )
 
         if outcome.result is SatResult.UNKNOWN:
@@ -402,24 +450,31 @@ class SmtSolver:
             self.last_report = self._unknown_report(outcome)
             return CheckResult.UNKNOWN
         if outcome.result is SatResult.UNSAT:
+            if sess.incremental:
+                # Map the SAT-level core back to the caller's assumption
+                # terms (activation literals of push frames are dropped).
+                core_set = set(outcome.core)
+                own = lits[len(lits) - len(assumptions):]
+                self._last_core_terms = [
+                    t for (l, t) in zip(own, assumptions) if l in core_set
+                ]
             if certify:
-                failure = self._certify_unsat(
-                    blaster.cnf.num_vars, blaster.cnf.clauses,
-                    outcome.proof, outcome.core,
-                )
+                failure = self._certify(sess, outcome)
                 if failure is not None:
                     return failure
-            if cache is not None and cache_key is not None:
+            if cache_key is not None:
                 self._cache_store(cache, cache_key, "unsat", None)
             self._last_result = CheckResult.UNSAT
             return CheckResult.UNSAT
 
         assert outcome.model is not None
-        assignment = blaster.varmap.decode(outcome.model)
+        assignment = sess.blaster.varmap.decode(outcome.model)
         model = Model(assignment)
         if self.validate_models:
-            self._validate(formulas, model)
-        if cache is not None and cache_key is not None:
+            self._validate(
+                [f for frame in stack for f in frame] + assumptions, model
+            )
+        if cache_key is not None:
             self._cache_store(cache, cache_key, "sat", dict(assignment))
         self._model = model
         self._last_result = CheckResult.SAT
@@ -473,28 +528,46 @@ class SmtSolver:
             cnf_clauses=self.stats.cnf_clauses,
         ))
 
-    def _certify_unsat(self, num_vars: int, clauses, proof,
-                       core) -> Optional[CheckResult]:
+    def _certify(self, sess: _Session,
+                 outcome: _SolveOutcome) -> Optional[CheckResult]:
         """Check an UNSAT answer's DRAT certificate.
 
-        Returns None on success (with :attr:`certificate` populated) or
-        the degraded UNKNOWN answer when the proof is rejected, or with
-        the budget's reason when the check runs out of budget — a
-        certified run never reports an UNSAT it cannot replay.
+        When the session's own solver answered, the session's live
+        checker is fed only the clauses and proof steps added since its
+        last certification (from offset 0 on a fresh session, which is
+        exactly :func:`repro.trust.check_drat`); a fresh-rung or
+        portfolio winner gets a fresh checker.  Returns None on success
+        (with :attr:`certificate` populated) or the degraded UNKNOWN
+        answer when the proof is rejected, or with the budget's reason
+        when the check runs out of budget — a certified run never
+        reports an UNSAT it cannot replay.  Either failure discards the
+        live checker, so the next certification rebuilds from scratch.
         """
+        cnf = sess.blaster.cnf
+        chk = sess.checker if outcome.live else None
+        if chk is None:
+            chk = DratChecker(cnf.num_vars)
+            from_clause = from_step = 0
+        else:
+            from_clause, from_step = sess.checked_clauses, sess.checked_steps
+        sess.checker = None  # suspect until this certification passes
+        steps = outcome.proof or []
         cert = Certificate(
-            num_vars=num_vars,
-            clauses=clauses,
-            steps=list(proof or ()),
-            core=tuple(core or ()),
+            num_vars=cnf.num_vars,
+            clauses=cnf.clauses[from_clause:],
+            steps=steps[from_step:],
+            core=outcome.core,
         )
         monkey = self._chaos
         if monkey is not None:
+            # Prepended to this check's own steps: once they derive the
+            # empty clause, the checker accepts anything after them.
             monkey.corrupt_proof(cert)
         try:
-            with TRACER.span("proof-check", steps=len(cert.steps),
+            with TRACER.span("proof-check", path=sess.path,
+                             steps=len(cert.steps),
                              clauses=len(cert.clauses)):
-                ok = cert.verify(self.budget)
+                ok = cert.verify(self.budget, checker=chk)
         except BudgetExhausted as exc:
             # Out of budget mid-check: the UNSAT is unchecked, not wrong.
             return self._exhausted(exc.report, self.stats)
@@ -502,6 +575,20 @@ class SmtSolver:
         if METRICS.enabled:
             METRICS.counter_inc("repro_trust_proofs_checked_total")
         if ok:
+            if outcome.live:
+                sess.checker = chk
+                sess.checked_clauses = len(cnf.clauses)
+                sess.checked_steps = len(steps)
+            if from_clause or from_step:
+                # Vouched for by the live checker; the certificate still
+                # covers the whole CNF and proof for a standalone replay.
+                cert = Certificate(
+                    num_vars=cnf.num_vars,
+                    clauses=list(cnf.clauses),
+                    steps=list(steps),
+                    core=outcome.core,
+                    verified=True,
+                )
             self.certificate = cert
             return None
         self._proofs_failed += 1
@@ -513,54 +600,40 @@ class SmtSolver:
         )
         return self._exhausted(report, self.stats)
 
-    def _solve_with_escalation(self, blaster: BitBlaster) -> _SolveOutcome:
-        """Run CDCL over the escalation ladder, sequentially or in parallel.
+    def _solve_sequential(
+        self, sess: _Session, lits: list[int],
+        configs: list[Optional[CDCLConfig]],
+    ) -> _SolveOutcome:
+        """Climb the escalation ladder over the session's loaded CNF.
 
-        Only a per-call conflict-cap UNKNOWN is retried (with a varied
-        configuration on the same CNF); a hard budget exhaustion —
-        deadline, cumulative caps, cancellation — always stops the
-        ladder immediately.  With ``options.jobs > 1`` the whole ladder
-        races concurrently in the shared worker pool instead; the pool
-        falling over (unlikely) falls back to the sequential climb.
+        Rung 1 is the session's own solver under the assumption
+        literals; an incremental session's ladder is that one rung.
+        Later rungs are fresh solvers over the same CNF with varied
+        configurations.  Only a per-call conflict-cap UNKNOWN is
+        retried; a hard budget exhaustion — deadline, cumulative caps,
+        cancellation — always stops the ladder immediately.
         """
-        configs: list[Optional[CDCLConfig]] = [self.sat_config]
-        if self.escalation is not None:
-            configs.extend(
-                self.escalation.ladder(self.sat_config, self.budget)
-            )
-        self.last_restored_learnts = 0
         certify = self.options.certify
-        if self.options.jobs > 1:
-            # The parallel portfolio does not checkpoint: workers race
-            # non-deterministically, so there is no canonical state to
-            # serialize.  Sequential fallback below still does.
-            try:
-                return self._solve_parallel(blaster, configs)
-            except Exception as exc:
-                from ..engine.parallel import PoolUnavailable
-
-                if not isinstance(exc, PoolUnavailable):
-                    raise
-                # fall through to the sequential ladder
-
+        cnf = sess.blaster.cnf
         # Checkpoint/resume (repro.persist): a previous budget-exhausted
         # solve of this exact CNF left its learned clauses on disk —
         # restore them into the first rung.  Certified runs skip both
         # directions: a DRAT log cannot replay clause derivations made
         # by a previous process, so restored learnts would be
         # uncertifiable and a saved proof-logging state unusable.
-        ck_store = None if certify else self.options.checkpoints
+        ck_store = (
+            None if certify or sess.incremental
+            else self.options.checkpoints
+        )
         ck_key: Optional[str] = None
         if ck_store is not None:
             from ..persist.checkpoint import cnf_fingerprint
 
-            ck_key = cnf_fingerprint(
-                blaster.cnf.num_vars, blaster.cnf.clauses
-            )
+            ck_key = cnf_fingerprint(cnf.num_vars, cnf.clauses)
 
         attempts = 0
         outcome = _SolveOutcome(SatResult.UNKNOWN)
-        last_sat: Optional[CDCLSolver] = None
+        sat = sess.sat
         last_seconds = 0.0
         for config in configs:
             if attempts > 0 and not self.escalation.can_afford(
@@ -572,22 +645,12 @@ class SmtSolver:
             with TRACER.span("portfolio-rung", rung=attempts,
                              mode="sequential") as rung_span, \
                     phase_scope(rung=attempts):
-                sat = CDCLSolver(
-                    blaster.cnf.num_vars, config, budget=self.budget,
-                    proof=ProofLog() if certify else None,
-                )
-                last_sat = sat
-                try:
-                    with TRACER.span("cnf-load", path="oneshot",
-                                     clauses=len(blaster.cnf.clauses)):
-                        ok = sat.add_cnf(blaster.cnf)
-                except BudgetExhausted as exc:
-                    return _SolveOutcome(
-                        SatResult.UNKNOWN, stats=sat.stats,
-                        exhaust_report=exc.report, attempts=attempts,
+                if attempts == 1:
+                    ok = not sess.root_unsat
+                    state = (
+                        ck_store.load(ck_key)
+                        if ok and ck_store is not None else None
                     )
-                if ok and attempts == 1 and ck_store is not None:
-                    state = ck_store.load(ck_key)
                     if state is not None:
                         try:
                             restored = sat.restore_state(state)
@@ -599,10 +662,25 @@ class SmtSolver:
                                 METRICS.counter_inc(
                                     "repro_checkpoint_restores_total")
                             ok = sat._ok
-                with TRACER.span("cdcl", rung=attempts) as cdcl_span:
+                else:
+                    sat = CDCLSolver(
+                        cnf.num_vars, config, budget=self.budget,
+                        proof=ProofLog() if certify else None,
+                    )
+                    try:
+                        with TRACER.span("cnf-load", path=sess.path,
+                                         clauses=len(cnf.clauses)):
+                            ok = sat.add_cnf(cnf)
+                    except BudgetExhausted as exc:
+                        return _SolveOutcome(
+                            SatResult.UNKNOWN, stats=sat.stats,
+                            exhaust_report=exc.report, attempts=attempts,
+                        )
+                with TRACER.span("cdcl", path=sess.path, rung=attempts,
+                                 assumptions=len(lits)) as cdcl_span:
                     result = (
-                        sat.solve(budget=self.budget) if ok
-                        else SatResult.UNSAT
+                        sat.solve(assumptions=lits, budget=self.budget)
+                        if ok else SatResult.UNSAT
                     )
                     cdcl_span.set("result", result.value)
                     cdcl_span.set("conflicts", sat.last_stats.conflicts)
@@ -614,32 +692,41 @@ class SmtSolver:
             outcome = _SolveOutcome(
                 result,
                 model=sat.model() if result is SatResult.SAT else None,
-                stats=sat.stats,
+                stats=sat.last_stats if sess.incremental else sat.stats,
                 exhaust_report=sat.exhaust_report,
                 attempts=attempts,
-                proof=(
-                    list(sat.proof.steps) if sat.proof is not None else None
+                proof=sat.proof.steps if sat.proof is not None else None,
+                core=(
+                    tuple(sat.unsat_assumptions())
+                    if result is SatResult.UNSAT and sat._ok else ()
                 ),
+                live=sat is sess.sat,
             )
             if result is not SatResult.UNKNOWN:
                 break
             if sat.exhaust_report is not None:
                 break  # hard budget exhaustion: escalating would be futile
-        if ck_store is not None and last_sat is not None:
+        if ck_store is not None:
             if outcome.result is SatResult.UNKNOWN:
                 # Exhausted: persist the search state so the next solve
                 # of this CNF resumes instead of restarting.
-                ck_store.save(ck_key, last_sat.checkpoint_state())
+                ck_store.save(ck_key, sat.checkpoint_state())
             else:
                 ck_store.discard(ck_key)  # answered: checkpoint is spent
         return outcome
 
     def _solve_parallel(
-        self, blaster: BitBlaster, configs: list[Optional[CDCLConfig]],
-    ) -> _SolveOutcome:
-        from ..engine.parallel import get_pool
+        self, cnf, configs: list[Optional[CDCLConfig]],
+    ) -> Optional[_SolveOutcome]:
+        """Race the whole ladder in the shared worker pool.
 
-        pool = get_pool(self.options.jobs)
+        The portfolio does not checkpoint: workers race
+        non-deterministically, so there is no canonical state to
+        serialize.  Returns None when the pool is unavailable (unlikely),
+        and the caller climbs the ladder sequentially instead.
+        """
+        from ..engine.parallel import PoolUnavailable, get_pool
+
         monkey = self._chaos
         chaos = None
         if monkey is not None and monkey.config.worker_crash_rate > 0:
@@ -648,10 +735,14 @@ class SmtSolver:
                 monkey.config.seed,
                 monkey.config.worker_max_crashes,
             )
-        slot, attempts = pool.solve_portfolio(
-            blaster.cnf, configs, budget=self.budget,
-            certify=self.options.certify, chaos=chaos,
-        )
+        try:
+            pool = get_pool(self.options.jobs)
+            slot, attempts = pool.solve_portfolio(
+                cnf, configs, budget=self.budget,
+                certify=self.options.certify, chaos=chaos,
+            )
+        except PoolUnavailable:
+            return None
         self._last_cancelled = pool.last_cancelled
         self._last_respawned = pool.last_respawned
         self._last_quarantined = pool.last_quarantined
@@ -680,176 +771,8 @@ class SmtSolver:
             exhaust_report=exhaust_report,
             attempts=attempts,
             proof=slot.proof,
-            core=slot.core,
+            core=tuple(slot.core or ()),
         )
-
-    # ----- incremental path -----------------------------------------------------
-
-    def _check_incremental(self, assumptions: list[Term]) -> CheckResult:
-        t0 = time.perf_counter()
-        certify = self.options.certify
-        inc = self._inc
-        if inc is None:
-            inc = self._inc = _IncrementalSession(
-                self._bounds, self.sat_config, self.budget,
-                proof=ProofLog() if certify else None,
-            )
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_incremental_checks_total")
-            # Clauses already loaded into the live CDCL solver are work
-            # this check inherits instead of redoing.
-            METRICS.counter_inc(
-                "repro_incremental_clauses_reused_total", inc.loaded_clauses
-            )
-        try:
-            with TRACER.span("bitblast", path="incremental",
-                             frames=len(self._stack)) as sp:
-                lits = inc.sync(self._stack, assumptions)
-                sp.set("cnf_vars", inc.blaster.cnf.num_vars)
-                sp.set("cnf_clauses", len(inc.blaster.cnf.clauses))
-            inc.load_clauses()
-        except BudgetExhausted as exc:
-            return self._exhausted(
-                exc.report,
-                SolverStats(
-                    encode_seconds=time.perf_counter() - t0,
-                    cnf_vars=inc.blaster.cnf.num_vars,
-                    cnf_clauses=len(inc.blaster.cnf.clauses),
-                ),
-            )
-        t1 = time.perf_counter()
-        if inc.root_unsat:
-            result = SatResult.UNSAT
-        else:
-            with TRACER.span("cdcl", path="incremental",
-                             assumptions=len(lits)) as sp:
-                result = inc.sat.solve(assumptions=lits, budget=self.budget)
-                sp.set("result", result.value)
-                sp.set("inprocessings", inc.sat.last_stats.inprocessings)
-                sp.set("inprocess_s", inc.sat.last_inprocess_s)
-        t2 = time.perf_counter()
-        self.stats = SolverStats(
-            encode_seconds=t1 - t0,
-            solve_seconds=t2 - t1,
-            cnf_vars=inc.blaster.cnf.num_vars,
-            cnf_clauses=len(inc.blaster.cnf.clauses),
-            attempts=1,
-            # Per-call delta: the session's CDCL solver lives across
-            # checks, so its raw counters mix all previous queries.
-            sat=inc.sat.last_stats,
-            sat_lifetime=inc.sat.stats,
-        )
-        if result is SatResult.UNKNOWN:
-            self._last_result = CheckResult.UNKNOWN
-            self.last_report = self._unknown_report(_SolveOutcome(
-                result, stats=inc.sat.last_stats,
-                exhaust_report=inc.sat.exhaust_report,
-            ))
-            return CheckResult.UNKNOWN
-        if result is SatResult.UNSAT:
-            core_lits = [] if inc.root_unsat else inc.sat.unsat_assumptions()
-            # Map the SAT-level core back to the caller's assumption
-            # terms (activation literals of push frames are dropped).
-            core_set = set(core_lits)
-            pairs = (
-                list(zip(lits[len(lits) - len(assumptions):], assumptions))
-                if assumptions else []
-            )
-            self._last_core_terms = [t for (l, t) in pairs if l in core_set]
-            if certify:
-                failure = self._certify_incremental(inc, core_lits)
-                if failure is not None:
-                    return failure
-            self._last_result = CheckResult.UNSAT
-            return CheckResult.UNSAT
-        assignment = inc.blaster.varmap.decode(inc.sat.model())
-        model = Model(assignment)
-        if self.validate_models:
-            self._validate(self.assertions() + assumptions, model)
-        self._model = model
-        self._last_result = CheckResult.SAT
-        return CheckResult.SAT
-
-    def _certify_incremental(self, inc: _IncrementalSession,
-                             core_lits: list[int]) -> Optional[CheckResult]:
-        """Certify an incremental UNSAT against the session's live checker.
-
-        The checker persists across calls; only clauses and proof steps
-        that appeared since the last certification are replayed, then
-        the core (or root refutation) is checked.  A rejected proof
-        degrades the answer exactly like the one-shot path, as does
-        running out of budget mid-check; either way the checker is
-        discarded so the next certification rebuilds from scratch.
-        """
-        monkey = self._chaos
-        corrupt = monkey is not None and monkey.fires("proof_corrupt")
-        clauses = inc.blaster.cnf.clauses
-        steps = inc.proof.steps if inc.proof is not None else []
-        error: Optional[str] = None
-        with TRACER.span(
-            "proof-check", path="incremental",
-            steps=len(steps) - inc.checked_steps,
-            clauses=len(clauses) - inc.checked_clauses,
-        ):
-            try:
-                chk = inc.checker
-                if chk is None:
-                    chk = DratChecker(0)
-                    inc.checked_clauses = 0
-                    inc.checked_steps = 0
-                with TRACER.span("drat-load", path="incremental",
-                                 clauses=len(clauses) - inc.checked_clauses):
-                    chk.add_clauses(
-                        clauses[inc.checked_clauses:], self.budget)
-                inc.checked_clauses = len(clauses)
-                with TRACER.span("drat-replay", path="incremental",
-                                 steps=len(steps) - inc.checked_steps):
-                    chk.apply_steps(
-                        steps[inc.checked_steps:], self.budget)
-                inc.checked_steps = len(steps)
-                inc.checker = chk
-                if corrupt:
-                    # Chaos: feed a deterministically non-RUP step (a
-                    # unit over a variable no clause mentions).
-                    chk.apply_step(("a", (inc.blaster.cnf.num_vars + 1,)))
-                if core_lits:
-                    ok = chk.assumptions_conflict(core_lits)
-                    if not ok:
-                        error = ("assumption core does not propagate"
-                                 " to a conflict")
-                else:
-                    ok = chk.refuted
-                    if not ok:
-                        error = "proof does not derive the empty clause"
-            except DratError as exc:
-                inc.checker = None  # suspect state: rebuild next time
-                ok = False
-                error = str(exc)
-            except BudgetExhausted as exc:
-                # Out of budget mid-check: the UNSAT is unchecked, not
-                # wrong.  The checker may be half-fed: rebuild next time.
-                inc.checker = None
-                return self._exhausted(exc.report, self.stats)
-        self._proofs_checked += 1
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_trust_proofs_checked_total")
-        if ok:
-            self.certificate = Certificate(
-                num_vars=inc.blaster.cnf.num_vars,
-                clauses=list(clauses),
-                steps=list(steps),
-                core=tuple(core_lits),
-                verified=True,
-            )
-            return None
-        self._proofs_failed += 1
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_trust_proofs_failed_total")
-        report = ResourceReport(
-            reason=ExhaustionReason.CERTIFICATION_FAILED,
-            message=f"UNSAT answer failed proof check: {error}",
-        )
-        return self._exhausted(report, self.stats)
 
     # ----- reporting ------------------------------------------------------------
 
@@ -930,8 +853,8 @@ class SmtSolver:
         literals, so it is a (not necessarily minimal, but usually
         small) subset of the ``check(*assumptions)`` arguments whose
         conjunction with the asserted stack is already unsatisfiable.
-        Incremental mode only: the one-shot path folds assumptions into
-        the encoding and has no assumption literals to trace.
+        Incremental mode only: a single-check session folds assumptions
+        into its root frame and has no assumption literals to trace.
         """
         if self._last_result is not CheckResult.UNSAT:
             raise RuntimeError(

@@ -317,15 +317,19 @@ def check_drat(
     steps: Sequence[tuple[str, tuple[int, ...]]],
     core: Sequence[int] = (),
     budget: Optional["Budget"] = None,
+    checker: Optional[DratChecker] = None,
 ) -> DratChecker:
     """Replay a proof against the original CNF; raise DratError on failure.
 
     With an empty ``core`` the proof must derive the empty clause; with
     a core the replayed clause set must refute under those assumption
     literals by unit propagation alone.  Returns the checker (its state
-    can answer further assumption queries on the same formula).
+    can answer further assumption queries on the same formula).  A live
+    ``checker`` that already holds a prefix of the CNF and proof is fed
+    only ``clauses`` and ``steps``, the parts that came after it.
     """
-    checker = DratChecker(num_vars)
+    if checker is None:
+        checker = DratChecker(num_vars)
     with TRACER.span("drat-load", clauses=len(clauses)):
         checker.add_clauses(clauses, budget)
     with TRACER.span("drat-replay", steps=len(steps)):
@@ -357,12 +361,17 @@ class Certificate:
     verified: bool = False
     error: Optional[str] = None
 
-    def verify(self, budget: Optional["Budget"] = None) -> bool:
-        """Run the independent checker; records verified/error in place."""
+    def verify(self, budget: Optional["Budget"] = None,
+               checker: Optional[DratChecker] = None) -> bool:
+        """Run the independent checker; records verified/error in place.
+
+        ``checker``, when given, is a live checker that already accepted
+        everything before this certificate's clauses and steps.
+        """
         try:
             check_drat(
                 self.num_vars, self.clauses, self.steps,
-                core=self.core, budget=budget,
+                core=self.core, budget=budget, checker=checker,
             )
         except DratError as exc:
             self.verified = False

@@ -485,12 +485,17 @@ class TestDisabledOverhead:
         # A generous over-estimate of the guard sites that run hits:
         # the instrumentation spans phases / VCs / solver calls (tens to
         # hundreds of sites), never unit-propagation events.
+        # Min of 5 repetitions: one preempted pass on a loaded machine
+        # must not read as guard cost.
         n_ops = 20_000
-        t0 = time.perf_counter()
-        for _ in range(n_ops):
-            TRACER.span("hot-path-probe")
-            METRICS.counter_inc("repro_probe_total")
-        guards = time.perf_counter() - t0
+        timings = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(n_ops):
+                TRACER.span("hot-path-probe")
+                METRICS.counter_inc("repro_probe_total")
+            timings.append(time.perf_counter() - t0)
+        guards = min(timings)
         assert guards < 0.02 * workload, (
             f"{n_ops} disabled guard calls cost {guards * 1e3:.1f}ms vs"
             f" workload {workload * 1e3:.0f}ms"

@@ -275,7 +275,7 @@ def test_set_bounds_rejects_changes_to_an_order_encoded_variable():
     solver.set_bounds(x, 0, 5)
     solver.add(mk_le(mk_int(2), x))
     assert solver.check() is CheckResult.SAT
-    assert solver._inc.blaster.varmap.order_vars.get("oe_inc_x") is not None
+    assert solver._session.blaster.varmap.order_vars.get("oe_inc_x") is not None
     solver.set_bounds(x, 0, 5)  # unchanged bounds are fine
     with pytest.raises(RuntimeError, match="already encoded"):
         solver.set_bounds(x, 0, 9)

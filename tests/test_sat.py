@@ -732,11 +732,11 @@ class TestBulkLoad:
 
     def test_interrupted_incremental_load_resumes_where_it_stopped(self):
         from repro.smt.intervals import BoundsEnv, Interval
-        from repro.smt.solver import _IncrementalSession
+        from repro.smt.solver import _Session
 
         def session(budget):
-            inc = _IncrementalSession(BoundsEnv(default=Interval(0, 1)),
-                                      None, budget, proof=ProofLog())
+            inc = _Session(BoundsEnv(default=Interval(0, 1)),
+                           None, budget, proof=ProofLog())
             cnf = inc.blaster.cnf
             rng = random.Random(7)
             for _ in range(300):

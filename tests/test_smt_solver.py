@@ -291,3 +291,72 @@ def test_pipeline_agrees_with_brute_force_across_threshold(formula, bounds):
         for pv in (False, True)
     )
     assert is_satisfiable(formula, bounds=bounds) == expected
+
+
+# ----- one check path: a single check is a session that lives for one check --
+
+
+def _parity_deck():
+    """(bounds, formulas, expected) cases over bounded ints and bools."""
+    x, y = mk_int_var("par_x"), mk_int_var("par_y")
+    a, b, c = (mk_bool_var(f"par_{n}") for n in "abc")
+    holes = {(p, h): mk_bool_var(f"par_php_{p}_{h}")
+             for p in range(5) for h in range(4)}
+    php = [mk_or(*[holes[p, h] for h in range(4)]) for p in range(5)] + [
+        mk_or(mk_not(holes[p, h]), mk_not(holes[q, h]))
+        for h in range(4) for p in range(5) for q in range(p + 1, 5)]
+    wide = {"par_x": (2, 60), "par_y": (2, 60)}
+    return [
+        pytest.param({"par_x": (0, 10), "par_y": (0, 10)},
+                     [mk_eq(mk_mul(x, y), mk_int(12)), mk_lt(x, y)],
+                     CheckResult.SAT, id="int-sat"),
+        pytest.param(wide, [mk_eq(mk_mul(x, y), mk_int(3001))],
+                     CheckResult.UNSAT, id="int-unsat"),
+        pytest.param(wide, [mk_eq(mk_mul(x, y), mk_int(3009))],
+                     CheckResult.SAT, id="int-sat-wide"),
+        pytest.param({}, [mk_xor(a, b), mk_implies(b, c), mk_or(a, c)],
+                     CheckResult.SAT, id="bool-sat"),
+        pytest.param({}, [mk_or(a, b), mk_or(a, mk_not(b)),
+                          mk_or(mk_not(a), b), mk_or(mk_not(a), mk_not(b))],
+                     CheckResult.UNSAT, id="bool-unsat"),
+        pytest.param({"par_x": (-8, 8), "par_y": (-8, 8)},
+                     [mk_le(mk_ite(a, x, mk_neg(x)), mk_sub(y, mk_int(3))),
+                      mk_implies(mk_not(a), mk_lt(y, mk_int(0)))],
+                     CheckResult.SAT, id="mixed-sat"),
+        pytest.param({}, php, CheckResult.UNSAT, id="php-unsat"),
+    ]
+
+
+@pytest.mark.parametrize("bounds,formulas,expected", _parity_deck())
+def test_single_check_matches_first_incremental_check(
+        monkeypatch, bounds, formulas, expected):
+    """A one-shot check and a fresh incremental session's first check
+    build the same CNF and run the same search."""
+    import repro.smt.solver as solver_mod
+
+    sessions = []
+
+    class Recorded(solver_mod._Session):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(solver_mod, "_Session", Recorded)
+    runs = []
+    for incremental in (False, True):
+        solver = SmtSolver(incremental=incremental)
+        for var, (lo, hi) in bounds.items():
+            solver.set_bounds(var, lo, hi)
+        solver.add(*formulas)
+        assert solver.check() is expected
+        runs.append((solver.stats, sessions[-1].blaster.cnf))
+    (one, one_cnf), (inc, inc_cnf) = runs
+    assert len(sessions) == 2
+    assert (one.cnf_vars, one.cnf_clauses) == (inc.cnf_vars, inc.cnf_clauses)
+    assert one_cnf.clauses == inc_cnf.clauses
+    for field in ("conflicts", "decisions"):
+        assert getattr(one.sat, field) == getattr(inc.sat, field)
+    # Units propagated while loading count in the solver's lifetime
+    # counters, which the per-check view of an incremental session
+    # leaves out; the lifetime views match field for field.
+    assert one.sat_lifetime == inc.sat_lifetime

@@ -175,14 +175,11 @@ class TestLoadSpans:
         if path != "portfolio":
             by_id = {r.span_id: r for r in TRACER.records}
             (load,) = loads
-            parent = by_id[load.parent_id]
-            assert parent.name == ("check" if incremental
-                                   else "portfolio-rung")
-            if incremental:
-                # Encoding and loading are sibling spans.
-                (encode,) = [r for r in TRACER.records
-                             if r.name == "bitblast"]
-                assert encode.parent_id == load.parent_id
+            assert by_id[load.parent_id].name == "check"
+            # Encoding and loading are sibling spans on both paths.
+            (encode,) = [r for r in TRACER.records
+                         if r.name == "bitblast"]
+            assert encode.parent_id == load.parent_id
 
     @pytest.mark.parametrize("incremental", [False, True])
     def test_proof_check_splits_loading_from_replay(self, incremental):

@@ -27,13 +27,15 @@ from repro.engine.options import EngineOptions
 from repro.engine.parallel import PortfolioPool
 from repro.netmodels.schedulers import fq_buggy, round_robin, strict_priority
 from repro.runtime.budget import Budget, BudgetExhausted, ExhaustionReason
-from repro.runtime.chaos import inject_faults
+from repro.runtime.chaos import ChaosConfig, ChaosMonkey, inject_faults
 from repro.smt.cnf import CNF
 from repro.smt.sat.cdcl import CDCLSolver, SatResult
 from repro.smt.solver import CheckResult, SmtSolver
 from repro.smt.terms import (
     mk_bool_var,
+    mk_eq,
     mk_int,
+    mk_int_var,
     mk_le,
     mk_not,
     mk_or,
@@ -546,6 +548,25 @@ class TestProofCorruptionChaos:
         outcome, _ = self._proved_analysis(True)
         assert outcome.verdict is Verdict.PROVED
         assert outcome.exit_code == 0
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_corrupted_proof_fails_certification_on_both_paths(
+            self, incremental):
+        # The bogus step must be replayed before this check's own steps:
+        # once they derive the empty clause the checker accepts anything.
+        solver = SmtSolver(
+            incremental=incremental,
+            options=EngineOptions(jobs=1, certify=True))
+        solver._chaos = ChaosMonkey(ChaosConfig(proof_corrupt_rate=1.0))
+        x, y = mk_int_var("corrupt_x"), mk_int_var("corrupt_y")
+        solver.set_bounds(x, 2, 60)
+        solver.set_bounds(y, 2, 60)
+        solver.add(mk_eq(x * y, mk_int(3001)))
+        assert solver.check() is CheckResult.UNKNOWN
+        assert solver.last_report.reason is (
+            ExhaustionReason.CERTIFICATION_FAILED)
+        assert solver.certificate is None
+        assert solver._chaos.log.proofs_corrupted == 1
 
     def test_corruption_without_certify_goes_unnoticed(self):
         # Without certify=True no proof is logged or checked, so the
