@@ -37,14 +37,10 @@ from ..lang.ast import Procedure
 from ..lang.checker import CheckedProgram
 from ..lang.types import ArrayType, BoolType, BufferType, IntType, ListType
 from ..obs import METRICS, TRACER
-from ..runtime.budget import (
-    Budget,
-    BudgetExhausted,
-    ExhaustionReason,
-    ResourceReport,
-)
-from ..smt.sat.cdcl import CDCLConfig, SatResult
+from ..runtime.budget import Budget, BudgetExhausted, ResourceReport
+from ..smt.sat.cdcl import CDCLConfig
 from ..smt.solver import CheckResult, SmtSolver, governed_check
+from ..smt.stats import SolverStats
 from ..smt.terms import TRUE, Term, mk_and, mk_not
 from .base import AnalysisBackend
 
@@ -208,26 +204,27 @@ class DafnyBackend(AnalysisBackend):
 
     # ----- VC discharge -----------------------------------------------------
 
-    def _discharge(self, name: str, target, goal: Term) -> VCResult:
+    def _discharge(self, name: str, solver: SmtSolver, goal: Term) -> VCResult:
         """Check ``assumptions => goal``; a model of the negation fails it.
 
-        ``target`` is a prepared solver (shared across a machine's VCs)
-        or, for the legacy spelling, a :class:`SymbolicMachine`.  A
-        budget exhaustion or solver fault marks *this* VC UNKNOWN and
-        the caller continues with the remaining VCs (an already-spent
-        budget makes those refuse quickly rather than hang).
+        ``solver`` is a prepared machine solver, shared across a
+        machine's VCs.  A budget exhaustion or solver fault marks *this*
+        VC UNKNOWN and the caller continues with the remaining VCs (an
+        already-spent budget makes those refuse quickly rather than
+        hang).
         """
         t0 = time.perf_counter()
-        if isinstance(target, SymbolicMachine):
-            solver = self._machine_solver(target)
-        else:
-            solver = target
         # The negated goal is a check-time assumption, not an assertion,
         # so the shared incremental encoding stays goal-free.
         with TRACER.span("vc", vc=name, backend="dafny") as sp:
             result, report = governed_check(solver, mk_not(goal))
             sp.set("result", result.value)
-        elapsed = time.perf_counter() - t0
+        return self._vc_result(name, result, report, solver.stats,
+                               time.perf_counter() - t0)
+
+    def _vc_result(self, name: str, result: CheckResult,
+                   report: Optional[ResourceReport], stats: SolverStats,
+                   elapsed: float) -> VCResult:
         status = {
             CheckResult.UNSAT: VCStatus.VERIFIED,
             CheckResult.SAT: VCStatus.FAILED,
@@ -240,8 +237,8 @@ class DafnyBackend(AnalysisBackend):
             name,
             status,
             elapsed,
-            cnf_vars=solver.stats.cnf_vars,
-            cnf_clauses=solver.stats.cnf_clauses,
+            cnf_vars=stats.cnf_vars,
+            cnf_clauses=stats.cnf_clauses,
             resource_report=report,
         )
 
@@ -252,200 +249,28 @@ class DafnyBackend(AnalysisBackend):
         """Discharge every VC of one machine against one shared encoding.
 
         With ``jobs > 1`` (and no chaos/custom factory intercepting the
-        solver) the independent VCs are solved concurrently on the
-        worker pool — the CNF ships once, each worker checks a
-        different negated goal under assumptions.
+        solver) the solver answers the VCs as one data-parallel batch,
+        :meth:`SmtSolver.check_each`: the CNF ships once and each worker
+        checks a different negated goal under assumptions.
         """
         named_goals = list(named_goals)
-        if not named_goals:
-            return []
-        jobs = self.options.jobs
+        solver = self._machine_solver(machine)
         if (
-            len(named_goals) > 1 and jobs > 1
+            len(named_goals) > 1 and self.options.jobs > 1
             and self.solver_factory is None and not self._chaos_active()
         ):
-            results = self._discharge_parallel(machine, named_goals, jobs)
-            if results is not None:
-                return results
-        solver = self._machine_solver(machine)
+            answers = solver.check_each(
+                [mk_not(goal) for _, goal in named_goals]
+            )
+            return [
+                self._vc_result(name, result, report, stats,
+                                stats.encode_seconds + stats.solve_seconds)
+                for (name, _), (result, report, stats)
+                in zip(named_goals, answers)
+            ]
         return [
             self._discharge(name, solver, goal) for name, goal in named_goals
         ]
-
-    def _discharge_parallel(
-        self, machine: SymbolicMachine,
-        named_goals: list[tuple[str, Term]], jobs: int,
-    ) -> Optional[list[VCResult]]:
-        """Batch-discharge independent VCs across the process pool.
-
-        Each VC is first looked up in the result cache (keyed on the
-        machine's assumptions + the negated goal + bounds); only misses
-        are bit-blasted and shipped to the pool.  Returns None (caller
-        falls back to the shared sequential path) when the pool is
-        unavailable or a model fails validation.
-        """
-        from ..engine.cache import CacheEntry, formula_fingerprint
-        from ..engine.parallel import PoolUnavailable, get_pool
-        from ..smt.bitblast import BitBlaster
-        from ..smt.intervals import BoundsEnv
-        from ..smt.model import Model
-
-        t0 = time.perf_counter()
-        bounds = BoundsEnv()
-        for var, (lo, hi) in machine.bounds.items():
-            bounds.set(var, lo, hi)
-        cache = self.options.cache
-        certify = self.options.certify
-        keys: list[Optional[str]] = [None] * len(named_goals)
-        done: dict[int, VCResult] = {}
-        if cache is not None:
-            memo: dict[Term, bytes] = {}
-            base = list(machine.assumptions)
-            for idx, (name, goal) in enumerate(named_goals):
-                key = formula_fingerprint(base + [mk_not(goal)], bounds, memo)
-                keys[idx] = key
-                hit = cache.get(key)
-                if hit is None:
-                    continue
-                if hit.verdict == "unsat":
-                    if certify:
-                        # A cached VERIFIED carries no proof; a certified
-                        # run must re-derive (and re-check) it.
-                        continue
-                    done[idx] = VCResult(
-                        name, VCStatus.VERIFIED, 0.0,
-                        cnf_vars=hit.cnf_vars, cnf_clauses=hit.cnf_clauses,
-                    )
-                elif hit.assignment is not None:
-                    # A SAT hit is trusted only after its assignment
-                    # re-validates against this VC's own terms.
-                    model = Model(dict(hit.assignment))
-                    if model.eval(mk_not(goal)) is True and all(
-                        model.eval(a) is True for a in machine.assumptions
-                    ):
-                        done[idx] = VCResult(
-                            name, VCStatus.FAILED, 0.0,
-                            cnf_vars=hit.cnf_vars,
-                            cnf_clauses=hit.cnf_clauses,
-                        )
-        misses = [i for i in range(len(named_goals)) if i not in done]
-        if not misses:
-            return [done[i] for i in range(len(named_goals))]
-        blaster = BitBlaster(bounds=bounds, budget=self.budget)
-        try:
-            for assumption in machine.assumptions:
-                blaster.assert_formula(assumption)
-            goal_lits = [
-                blaster.literal_for(mk_not(named_goals[i][1]))
-                for i in misses
-            ]
-        except BudgetExhausted as exc:
-            return [
-                done.get(i) or VCResult(
-                    named_goals[i][0], VCStatus.UNKNOWN, 0.0,
-                    resource_report=exc.report,
-                )
-                for i in range(len(named_goals))
-            ]
-        if self.budget is not None:
-            for _ in misses:
-                self.budget.charge_solver_call()
-        try:
-            pool = get_pool(jobs)
-            with TRACER.span("vc-batch", backend="dafny",
-                             vcs=len(misses), jobs=jobs):
-                slots = pool.solve_many(
-                    blaster.cnf, [[lit] for lit in goal_lits],
-                    config=self.sat_config, budget=self.budget,
-                    certify=certify,
-                )
-        except PoolUnavailable:
-            return None
-        elapsed = time.perf_counter() - t0
-        per_vc = elapsed / max(1, len(misses))
-        for idx, slot in zip(misses, slots):
-            name, goal = named_goals[idx]
-            if slot is None or slot.error is not None:
-                return None  # worker died: redo sequentially
-            if slot.verdict is SatResult.SAT:
-                assignment = blaster.varmap.decode(slot.model)
-                model = Model(assignment)
-                if self.validate_models and (
-                    model.eval(mk_not(goal)) is not True
-                    or any(model.eval(a) is not True
-                           for a in machine.assumptions)
-                ):
-                    return None  # refuse an unvalidated parallel model
-                status = VCStatus.FAILED
-                report = None
-            elif slot.verdict is SatResult.UNSAT:
-                report = (
-                    self._certify_slot(blaster, slot, name) if certify
-                    else None
-                )
-                status = (
-                    VCStatus.UNKNOWN if report is not None
-                    else VCStatus.VERIFIED
-                )
-            else:
-                status = VCStatus.UNKNOWN
-                report = self._slot_report(slot)
-            if cache is not None and keys[idx] is not None and (
-                status is not VCStatus.UNKNOWN
-            ):
-                cache.put(keys[idx], CacheEntry(
-                    verdict="unsat" if status is VCStatus.VERIFIED else "sat",
-                    assignment=dict(assignment)
-                    if status is VCStatus.FAILED else None,
-                    cnf_vars=blaster.cnf.num_vars,
-                    cnf_clauses=len(blaster.cnf.clauses),
-                ))
-            done[idx] = VCResult(
-                name, status, per_vc,
-                cnf_vars=blaster.cnf.num_vars,
-                cnf_clauses=len(blaster.cnf.clauses),
-                resource_report=report,
-            )
-        results = [done[i] for i in range(len(named_goals))]
-        if METRICS.enabled:
-            for vc in results:
-                METRICS.counter_inc(
-                    "repro_vcs_total", backend="dafny",
-                    status=vc.status.value)
-        return results
-
-    def _certify_slot(self, blaster, slot, name: str) -> Optional[ResourceReport]:
-        """Check one parallel UNSAT slot's DRAT certificate.
-
-        Returns None when the certificate checks; otherwise a
-        CERTIFICATION_FAILED report, or the budget's report when the
-        check ran out of budget — the caller downgrades the VC to
-        UNKNOWN rather than report an unverified VERIFIED.
-        """
-        from ..trust import Certificate
-
-        cert = Certificate(
-            num_vars=blaster.cnf.num_vars,
-            clauses=list(blaster.cnf.clauses),
-            steps=list(slot.proof or []),
-            core=tuple(slot.core or ()),
-        )
-        try:
-            with TRACER.span("proof-check", vc=name, steps=len(cert.steps)):
-                ok = cert.verify(self.budget)
-        except BudgetExhausted as exc:
-            return exc.report
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_trust_proofs_checked_total")
-        if ok:
-            return None
-        if METRICS.enabled:
-            METRICS.counter_inc("repro_trust_proofs_failed_total")
-        return ResourceReport(
-            reason=ExhaustionReason.CERTIFICATION_FAILED,
-            message=f"VC {name!r}: UNSAT answer failed proof check:"
-                    f" {cert.error}",
-        )
 
     def explain_vc(self, machine: SymbolicMachine, goal: Term) -> list[Term]:
         """Which of ``machine``'s assumptions a verified ``goal`` uses.
@@ -469,16 +294,6 @@ class DafnyBackend(AnalysisBackend):
                 " no unsat core exists"
             )
         return solver.unsat_core()
-
-    def _slot_report(self, slot) -> Optional[ResourceReport]:
-        from ..runtime.budget import ExhaustionReason
-
-        if slot.reason is None:
-            return None
-        reason = ExhaustionReason(slot.reason)
-        if self.budget is not None:
-            return self.budget.report(reason, "parallel VC discharge")
-        return ResourceReport(reason=reason, message="parallel VC discharge")
 
     def _exhausted_vc(self, name: str, exc: BudgetExhausted) -> VCResult:
         """A VC whose *encoding* (symbolic unrolling) ran out of budget."""
@@ -546,7 +361,8 @@ class DafnyBackend(AnalysisBackend):
         # variables in its state, so the invariant must be valid as-is.
         init_machine = SymbolicMachine(self.program, self.config)
         init_goal = invariant(StateView(init_machine))
-        report.vcs.append(self._discharge("init", init_machine, init_goal))
+        report.vcs.append(self._discharge(
+            "init", self._machine_solver(init_machine), init_goal))
 
         # (2) consecution: havoc state, assume the invariant, run one step.
         step_machine = SymbolicMachine(self.program, self.config,
@@ -559,7 +375,8 @@ class DafnyBackend(AnalysisBackend):
             report.vcs.append(self._exhausted_vc("preserve", exc))
             return report
         post = invariant(StateView(step_machine))
-        report.vcs.append(self._discharge("preserve", step_machine, post))
+        report.vcs.append(self._discharge(
+            "preserve", self._machine_solver(step_machine), post))
 
         # (3) property: invariant implies each query at the boundary.
         for name, query in queries:
@@ -569,9 +386,10 @@ class DafnyBackend(AnalysisBackend):
             )
             view = StateView(query_machine)
             query_machine.assumptions.append(invariant(view))
-            report.vcs.append(
-                self._discharge(f"query:{name}", query_machine, query(view))
-            )
+            report.vcs.append(self._discharge(
+                f"query:{name}", self._machine_solver(query_machine),
+                query(view),
+            ))
         return report
 
     # ----- procedure contracts ---------------------------------------------------------

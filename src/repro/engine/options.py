@@ -55,6 +55,15 @@ class EngineOptions:
     certify: bool = False
     checkpoints: Optional["CheckpointStore"] = None
 
+    def __post_init__(self) -> None:
+        # A value built directly takes a bool as resolve() does; a solver
+        # only ever reads a store or None.
+        if isinstance(self.cache, bool):
+            object.__setattr__(self, "cache", _cache_for(self.cache, {}))
+        if isinstance(self.checkpoints, bool):
+            object.__setattr__(
+                self, "checkpoints", _checkpoints_for(self.checkpoints, {}))
+
     @classmethod
     def resolve(cls, *, jobs: Optional[int] = None, cache=None,
                 certify: Optional[bool] = None, checkpoints=None,

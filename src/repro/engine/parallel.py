@@ -518,10 +518,11 @@ class PortfolioPool:
     ) -> list[Optional[SlotResult]]:
         """Solve one CNF under several assumption sets concurrently.
 
-        The data-parallel mode used by :class:`DafnyBackend` to
-        discharge independent VCs across the pool.  Every slot runs to
-        completion (no first-wins cancellation); a slot is None only if
-        its worker died and could not be replaced.
+        The data-parallel mode behind :meth:`SmtSolver.check_each`,
+        which Dafny uses to discharge independent VCs across the pool.
+        Every slot runs to completion (no first-wins cancellation); a
+        slot is None only if its worker died and could not be replaced,
+        or the budget ran out before it answered.
         """
         config = config or CDCLConfig()
         tasks = [(list(a), config) for a in assumption_sets]

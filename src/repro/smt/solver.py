@@ -48,9 +48,12 @@ left at ``None`` it is resolved once, here in the constructor, from the
   the independent :mod:`repro.trust` checker accepts.
 * ``checkpoints`` lets a budget-exhausted sequential solve resume.
 
-The cache, the escalation ladder, the portfolio and checkpoints apply
-to single-check sessions only.  An incremental session's ladder is its
-one rung: its live solver under the assumption literals.
+The escalation ladder, the portfolio and checkpoints apply to
+single-check sessions only, and ``check()`` consults the cache only
+there.  An incremental session's ladder is its one rung: its live
+solver under the assumption literals.  :meth:`SmtSolver.check_each`
+answers many goals over one encoding as a data-parallel batch on the
+worker pool, consulting the cache per goal, on either kind of session.
 """
 
 from __future__ import annotations
@@ -317,11 +320,7 @@ class SmtSolver:
         :attr:`last_report` describing the spend.  Timing stats are
         recorded even for exhausted runs.
         """
-        self._model = None
-        self._last_result = None
-        self.last_report = None
-        self.certificate = None
-        self._last_core_terms = None
+        self._reset_answer()
         for a in assumptions:
             if a.sort is not BOOL:
                 raise TypeError("assumptions must be Bool terms")
@@ -362,36 +361,20 @@ class SmtSolver:
 
     def _check(self, assumptions: list[Term]) -> CheckResult:
         """The one check path: session, cache, encode, solve, answer."""
-        certify = self.options.certify
-        cache = None
         cache_key: Optional[str] = None
         stack: Sequence[Sequence[Term]] = self._stack
-        sess = self._session
-        if sess is None:
-            if not self.incremental:
-                # A single check's root frame holds the assertions plus
-                # the assumptions; nothing is assumed at the SAT level.
-                formulas = self.assertions() + [
-                    a for a in assumptions if a is not TRUE
-                ]
-                stack, assumptions = [formulas], []
-                cache = self.options.cache
-                if cache is not None:
-                    from ..engine.cache import formula_fingerprint
-
-                    cache_key = formula_fingerprint(formulas, self._bounds)
-                    hit = cache.get(cache_key)
-                    if hit is not None:
-                        result = self._replay_cached(formulas, hit)
-                        if result is not None:
-                            return result
-            sess = _Session(
-                self._bounds, self.sat_config, self.budget,
-                proof=ProofLog() if certify else None,
-                incremental=self.incremental,
-            )
-            if self.incremental:
-                self._session = sess
+        if self._session is None and not self.incremental:
+            # A single check's root frame holds the assertions plus the
+            # assumptions; nothing is assumed at the SAT level.
+            formulas = self.assertions() + [
+                a for a in assumptions if a is not TRUE
+            ]
+            stack, assumptions = [formulas], []
+            if self.options.cache is not None:
+                cache_key, result = self._probe_cache(formulas)
+                if result is not None:
+                    return result
+        sess = self._open_session()
         if sess.incremental and METRICS.enabled:
             METRICS.counter_inc("repro_incremental_checks_total")
             # Clauses already loaded into the live CDCL solver are work
@@ -430,25 +413,153 @@ class SmtSolver:
                     cnf_clauses=len(cnf.clauses),
                 ),
             )
-        t2 = time.perf_counter()
-        self.stats = SolverStats(
-            encode_seconds=t1 - t0,
-            solve_seconds=t2 - t1,
-            cnf_vars=cnf.num_vars,
-            cnf_clauses=len(cnf.clauses),
-            attempts=outcome.attempts,
-            sat=outcome.stats,
-            # An incremental session's solver lives across checks: its
-            # raw counters mix all previous queries.
-            sat_lifetime=(
-                sess.sat.stats if sess.incremental else outcome.stats
-            ),
+        return self._answer(
+            sess, outcome, stack, assumptions, lits, cache_key,
+            encode_seconds=t1 - t0, solve_seconds=time.perf_counter() - t1,
+            cnf_size=(cnf.num_vars, len(cnf.clauses)),
         )
 
+    def check_each(self, goals: Sequence[Term]) -> list[
+        tuple[CheckResult, Optional[ResourceReport], SolverStats]
+    ]:
+        """``check(goal)`` for each goal, solved as one data-parallel batch.
+
+        Returns, per goal, the ``(result, report)`` pair
+        :func:`governed_check` returns for ``check(goal)``, plus the
+        :attr:`stats` of that answer.  Each goal is first looked up in
+        the result cache, keyed as a single ``check(goal)`` is.  The
+        misses are encoded on the session, the assertions once and then
+        one literal per goal, so a goal's CNF size is the one its
+        ``check(goal)`` on an incremental session sees; the CNF ships
+        once to the worker pool and is solved under each goal's literal
+        in parallel.  Every answer is then handled as ``check()``
+        handles one: UNKNOWN report, model decode and validation, UNSAT
+        certification with a fresh checker, cache store.  A goal the
+        batch leaves unanswered (its worker was lost or failed, the
+        pool is unavailable, or the budget ran out while encoding) is
+        answered by ``check(goal)``.  No model, core or certificate is
+        retained afterwards.
+        """
+        goals = list(goals)
+        if any(g.sort is not BOOL for g in goals):
+            raise TypeError("goals must be Bool terms")
+        answers: list[Optional[tuple]] = [None] * len(goals)
+        keys: list[Optional[str]] = [None] * len(goals)
+        if self.options.cache is not None:
+            formulas = self.assertions()
+            memo: dict[Term, bytes] = {}
+            for i, goal in enumerate(goals):
+                keys[i], result = self._probe_cache(
+                    formulas if goal is TRUE else formulas + [goal], memo)
+                if result is not None:
+                    answers[i] = (result, None, self.stats)
+        misses = [i for i, answer in enumerate(answers) if answer is None]
+        if misses:
+            with TRACER.span("check-batch", goals=len(misses),
+                             jobs=self.options.jobs):
+                self._solve_batch(goals, misses, keys, answers)
+        for i, answer in enumerate(answers):
+            if answer is None:
+                result, report = governed_check(self, goals[i])
+                answers[i] = (result, report, self.stats)
+        self._reset_answer()
+        return answers
+
+    def _solve_batch(self, goals: list[Term], misses: list[int],
+                     keys: list[Optional[str]],
+                     answers: list[Optional[tuple]]) -> None:
+        """Answer ``goals[i]`` for each ``i`` in ``misses`` on the pool."""
+        sess = self._open_session()
+        cnf = sess.blaster.cnf
+        if self.budget is not None:
+            self.budget.start()
+            for _ in misses:
+                self.budget.charge_solver_call()
+        encoded = []  # per miss: (SAT assumptions, encode seconds, CNF size)
+        try:
+            with TRACER.span("bitblast", path=sess.path,
+                             frames=len(self._stack)) as sp:
+                for i in misses:
+                    t0 = time.perf_counter()
+                    lits = sess.sync(self._stack, [goals[i]])
+                    encoded.append((lits, time.perf_counter() - t0,
+                                    (cnf.num_vars, len(cnf.clauses))))
+                sp.set("cnf_vars", cnf.num_vars)
+                sp.set("cnf_clauses", len(cnf.clauses))
+        except BudgetExhausted:
+            return  # check(goal) refuses on the spent budget
+        t1 = time.perf_counter()
+        slots = self._run_pool(lambda pool, **knobs: pool.solve_many(
+            cnf, [lits for lits, _, _ in encoded], config=self.sat_config,
+            **knobs,
+        ))
+        if slots is None:
+            return
+        solve_seconds = (time.perf_counter() - t1) / len(misses)
+        for i, (lits, encode_seconds, size), slot in zip(
+            misses, encoded, slots
+        ):
+            if slot is None or slot.error is not None or slot.reason == "fault":
+                continue
+            self._reset_answer()
+            result = self._answer(
+                sess, self._slot_outcome(slot, attempts=1),
+                self._stack, [goals[i]], lits, keys[i],
+                encode_seconds=encode_seconds, solve_seconds=solve_seconds,
+                cnf_size=size,
+            )
+            answers[i] = (result, self.last_report, self.stats)
+
+    def _open_session(self) -> _Session:
+        """The incremental session, or a fresh session for one check."""
+        sess = self._session
+        if sess is None:
+            sess = _Session(
+                self._bounds, self.sat_config, self.budget,
+                proof=ProofLog() if self.options.certify else None,
+                incremental=self.incremental,
+            )
+            if self.incremental:
+                self._session = sess
+        return sess
+
+    def _reset_answer(self) -> None:
+        self._model = None
+        self._last_result = None
+        self.last_report = None
+        self.certificate = None
+        self._last_core_terms = None
+
+    def _answer(self, sess: _Session, outcome: _SolveOutcome,
+                stack: Sequence[Sequence[Term]], assumptions: list[Term],
+                lits: list[int], cache_key: Optional[str], *,
+                encode_seconds: float, solve_seconds: float,
+                cnf_size: tuple[int, int]) -> CheckResult:
+        """Turn the outcome of solving under ``lits`` into the answer.
+
+        Records :attr:`stats`, then handles the result: an UNKNOWN gets
+        its resource report; an UNSAT maps its SAT-level core back to
+        ``assumptions`` (incremental sessions) and is certified; a SAT
+        model is decoded and validated against the ``stack`` formulas
+        and ``assumptions``.  A definitive answer is stored under
+        ``cache_key``.
+        """
+        self.stats = SolverStats(
+            encode_seconds=encode_seconds,
+            solve_seconds=solve_seconds,
+            cnf_vars=cnf_size[0],
+            cnf_clauses=cnf_size[1],
+            attempts=outcome.attempts,
+            sat=outcome.stats,
+            # The session's own solver lives across an incremental
+            # session's checks: its raw counters mix all previous queries.
+            sat_lifetime=sess.sat.stats if outcome.live else outcome.stats,
+        )
         if outcome.result is SatResult.UNKNOWN:
             self._last_result = CheckResult.UNKNOWN
             self.last_report = self._unknown_report(outcome)
             return CheckResult.UNKNOWN
+        cache = self.options.cache
         if outcome.result is SatResult.UNSAT:
             if sess.incremental:
                 # Map the SAT-level core back to the caller's assumption
@@ -458,7 +569,7 @@ class SmtSolver:
                 self._last_core_terms = [
                     t for (l, t) in zip(own, assumptions) if l in core_set
                 ]
-            if certify:
+            if self.options.certify:
                 failure = self._certify(sess, outcome)
                 if failure is not None:
                     return failure
@@ -479,6 +590,17 @@ class SmtSolver:
         self._model = model
         self._last_result = CheckResult.SAT
         return CheckResult.SAT
+
+    def _probe_cache(self, formulas: list[Term],
+                     memo: Optional[dict[Term, bytes]] = None,
+                     ) -> tuple[str, Optional[CheckResult]]:
+        """The cache key of a check of ``formulas``, and its cached
+        answer (None on a miss or an unusable entry)."""
+        from ..engine.cache import formula_fingerprint
+
+        key = formula_fingerprint(formulas, self._bounds, memo)
+        hit = self.options.cache.get(key)
+        return key, None if hit is None else self._replay_cached(formulas, hit)
 
     def _replay_cached(self, formulas: list[Term],
                        hit) -> Optional[CheckResult]:
@@ -550,7 +672,7 @@ class SmtSolver:
             from_clause = from_step = 0
         else:
             from_clause, from_step = sess.checked_clauses, sess.checked_steps
-        sess.checker = None  # suspect until this certification passes
+            sess.checker = None  # suspect until this certification passes
         steps = outcome.proof or []
         cert = Certificate(
             num_vars=cnf.num_vars,
@@ -725,6 +847,25 @@ class SmtSolver:
         serialize.  Returns None when the pool is unavailable (unlikely),
         and the caller climbs the ladder sequentially instead.
         """
+        raced = self._run_pool(
+            lambda pool, **knobs: pool.solve_portfolio(cnf, configs, **knobs)
+        )
+        if raced is None:
+            return None
+        slot, attempts = raced
+        if slot.error is not None or slot.reason == "fault":
+            raise SolverFault(
+                f"portfolio worker failed: {slot.error or 'unknown fault'}"
+            )
+        return self._slot_outcome(slot, attempts)
+
+    def _run_pool(self, run):
+        """``run(pool, budget=, certify=, chaos=)`` on the shared pool.
+
+        Returns what ``run`` returns, or None when the pool is
+        unavailable; the pool's supervision counters feed the resource
+        reports.
+        """
         from ..engine.parallel import PoolUnavailable, get_pool
 
         monkey = self._chaos
@@ -737,19 +878,17 @@ class SmtSolver:
             )
         try:
             pool = get_pool(self.options.jobs)
-            slot, attempts = pool.solve_portfolio(
-                cnf, configs, budget=self.budget,
-                certify=self.options.certify, chaos=chaos,
-            )
+            answer = run(pool, budget=self.budget,
+                         certify=self.options.certify, chaos=chaos)
         except PoolUnavailable:
             return None
         self._last_cancelled = pool.last_cancelled
         self._last_respawned = pool.last_respawned
         self._last_quarantined = pool.last_quarantined
-        if slot.error is not None or slot.reason == "fault":
-            raise SolverFault(
-                f"portfolio worker failed: {slot.error or 'unknown fault'}"
-            )
+        return answer
+
+    def _slot_outcome(self, slot, attempts: int) -> _SolveOutcome:
+        """A pool slot's answer as a solve outcome."""
         exhaust_report: Optional[ResourceReport] = None
         if slot.verdict is SatResult.UNKNOWN and slot.reason not in (
             None, "cancelled",

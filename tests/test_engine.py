@@ -24,11 +24,14 @@ from repro.baselines.fperf_prio import encode_prio_baseline
 from repro.baselines.fperf_rr import encode_rr_baseline
 from repro.compiler.symexec import EncodeConfig
 from repro.engine import EngineOptions, ResultCache, formula_fingerprint
+from repro.engine.parallel import PortfolioPool, SlotResult
 from repro.netmodels.schedulers import fq_buggy, fq_fixed, round_robin, strict_priority
 from repro.runtime.budget import Budget, ExhaustionReason
 from repro.smt.intervals import BoundsEnv, Interval
+from repro.smt.sat.cdcl import SatResult
 from repro.smt.solver import CheckResult, SmtSolver
 from repro.smt.sorts import BOOL, INT
+from repro.smt.stats import SatStats
 from repro.smt.terms import (
     Op,
     Term,
@@ -41,6 +44,7 @@ from repro.smt.terms import (
     mk_or,
     mk_var,
 )
+from repro.trust import Certificate
 
 N, T, CAP, ARR = 2, 4, 5, 2
 CONFIG = EncodeConfig(buffer_capacity=CAP, arrivals_per_step=ARR)
@@ -221,6 +225,127 @@ class TestIncrementalSolving:
             [(vc.name, vc.status) for vc in par_report.vcs]
 
 
+# ----- data-parallel VC batch ------------------------------------------------
+
+
+def _fig6_queries(horizon):
+    """The Fig-6 VCs: total_work verifies, capacity fails."""
+
+    def total_work(view):
+        return mk_le(view.deq_p("ibs[0]") + view.deq_p("ibs[1]"),
+                     view.enq_p("ibs[0]") + view.enq_p("ibs[1]"))
+
+    def capacity(view):
+        return mk_le(view.backlog_p("ibs[0]"), mk_int(horizon - 1))
+
+    def conservation(view):
+        return (view.deq_p("ibs[0]") + view.backlog_p("ibs[0]")).eq(
+            view.enq_p("ibs[0]"))
+
+    return [("total_work", total_work), ("capacity", capacity),
+            ("conservation", conservation)]
+
+
+def _fig6_vcs(maker, horizon, **engine):
+    backend = DafnyBackend(maker(N), config=CONFIG, **engine)
+    report = backend.verify_monolithic(horizon,
+                                       queries=_fig6_queries(horizon))
+    return [(vc.name, vc.status, vc.cnf_vars, vc.cnf_clauses)
+            for vc in report.vcs]
+
+
+class TestVCBatch:
+    """``jobs > 1`` answers a machine's VCs through SmtSolver.check_each."""
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_batch_matches_sequential_then_answers_from_cache(self, certify):
+        for maker in (fq_buggy, fq_fixed):
+            for horizon in (1, 2, 3):
+                seq = _fig6_vcs(maker, horizon, jobs=1, cache=False,
+                                certify=certify)
+                cache = ResultCache()
+                assert _fig6_vcs(maker, horizon, jobs=2, cache=cache,
+                                 certify=certify) == seq
+                assert cache.stats.hits == 0
+                again = _fig6_vcs(maker, horizon, jobs=2, cache=cache,
+                                  certify=certify)
+                assert cache.stats.hits == len(seq)
+                assert [vc[:2] for vc in again] == [vc[:2] for vc in seq]
+                if not certify:
+                    # All answered from the cache, with the stored sizes.
+                    # A certified run re-derives the cached UNSATs (they
+                    # carry no proof) on a CNF without the cached goals.
+                    assert again == seq
+
+    def test_cache_hits_skip_the_pool(self, monkeypatch):
+        cache = ResultCache()
+        seq = _fig6_vcs(fq_buggy, 2, jobs=2, cache=cache, certify=False)
+        monkeypatch.setattr(
+            PortfolioPool, "solve_many",
+            lambda *args, **kwargs: pytest.fail("a cached VC was re-solved"))
+        assert _fig6_vcs(fq_buggy, 2, jobs=2, cache=cache,
+                         certify=False) == seq
+
+    def test_batch_key_is_the_one_shot_check_key(self):
+        cache = ResultCache()
+        _fig6_vcs(fq_buggy, 2, jobs=2, cache=cache, certify=False)
+        hits, misses = cache.stats.hits, cache.stats.misses
+        oneshot = _fig6_vcs(fq_buggy, 2, jobs=1, cache=cache,
+                            certify=False, incremental=False)
+        assert cache.stats.misses == misses
+        assert cache.stats.hits == hits + len(oneshot)
+
+    def test_rejected_proof_degrades_only_its_vc(self, monkeypatch):
+        verify = Certificate.verify
+        seen = []
+
+        def reject_first(cert, budget=None, checker=None):
+            seen.append(cert)
+            if len(seen) == 1:
+                cert.error = "rejected"
+                return False
+            return verify(cert, budget, checker=checker)
+
+        monkeypatch.setattr(Certificate, "verify", reject_first)
+        backend = DafnyBackend(fq_fixed(N), config=CONFIG, jobs=2,
+                               cache=False, certify=True)
+        report = backend.verify_monolithic(2, queries=_fig6_queries(2))
+        first, *rest = report.vcs
+        assert first.status is VCStatus.UNKNOWN
+        assert first.resource_report.reason is \
+            ExhaustionReason.CERTIFICATION_FAILED
+        assert first.resource_report.proofs_failed == 1
+        assert [(vc.name, vc.status) for vc in rest] == [
+            ("capacity", VCStatus.FAILED),
+            ("conservation", VCStatus.VERIFIED),
+        ]
+
+    @pytest.mark.parametrize("lost", [
+        None,
+        SlotResult(SatResult.UNKNOWN, None, "fault", SatStats(),
+                   error="worker raised"),
+    ], ids=["lost", "errored"])
+    def test_unanswered_slot_is_answered_by_check(self, monkeypatch, lost):
+        seq = _fig6_vcs(fq_buggy, 2, jobs=1, cache=False, certify=False)
+        solve_many = PortfolioPool.solve_many
+
+        def lose_first(pool, *args, **kwargs):
+            return [lost] + solve_many(pool, *args, **kwargs)[1:]
+
+        checks = []
+        check = SmtSolver.check
+
+        def counted_check(solver, *assumptions):
+            checks.append(assumptions)
+            return check(solver, *assumptions)
+
+        monkeypatch.setattr(PortfolioPool, "solve_many", lose_first)
+        monkeypatch.setattr(SmtSolver, "check", counted_check)
+        batch = _fig6_vcs(fq_buggy, 2, jobs=2, cache=False, certify=False)
+        assert [vc[:2] for vc in batch] == [vc[:2] for vc in seq]
+        assert len(checks) == 1
+
+
 # ----- result cache ----------------------------------------------------------
 
 
@@ -275,9 +400,10 @@ class TestResultCache:
         assert second.model()["b"] is True
 
     def test_disk_key_is_independent_of_construction_order(self, tmp_path):
-        """EQ, XOR and MUL order their args by id(), which follows the
-        order the operands were built in: two processes that build the
-        same formula in opposite orders still share one disk entry."""
+        """EQ, XOR and MUL order their args by creation serial, which
+        follows the order the operands were built in: two processes that
+        build the same formula in opposite orders still share one disk
+        entry."""
         script = textwrap.dedent("""
             import json, sys
             from repro.engine import EngineOptions, ResultCache, formula_fingerprint

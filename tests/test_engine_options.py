@@ -116,6 +116,21 @@ def test_checkpoint_resolution(tmp_path):
         store(True)
 
 
+def test_direct_construction_takes_bools_as_resolve_does():
+    direct = EngineOptions(jobs=1, cache=False, certify=True,
+                           checkpoints=False)
+    assert direct.cache is None and direct.checkpoints is None
+    assert EngineOptions(cache=True).cache is \
+        EngineOptions.resolve(cache=True, environ={}).cache
+    with pytest.raises(TypeError, match="names no directory"):
+        EngineOptions(checkpoints=True)
+    solver = SmtSolver(options=direct)
+    a = mk_bool_var("opt_direct")
+    solver.add(a, mk_not(a))
+    assert solver.check() is CheckResult.UNSAT
+    assert solver.certificate is not None
+
+
 # ----- (b) construction-time resolution --------------------------------------
 
 

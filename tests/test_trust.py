@@ -10,7 +10,6 @@ pool) instead of producing a wrong or missing verdict.
 """
 
 import random
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.facade import analyze
 from repro.analysis.result import EXIT_CERTIFICATION, Verdict
-from repro.backends.dafny import DafnyBackend
 from repro.backends.smt_backend import SmtBackend, Status
 from repro.compiler.symexec import EncodeConfig
 from repro.engine.cache import ResultCache
@@ -383,17 +381,20 @@ class TestCertificationBudget:
         assert solver.certificate is None
         assert solver.last_report.proofs_failed == 0
 
-    def test_parallel_vc_certificate_reports_the_deadline(self, monkeypatch):
+    def test_batch_certificate_reports_the_deadline(self, monkeypatch):
         budget = self._late_clock(monkeypatch)
-        backend = DafnyBackend(fq_buggy(N), config=CONFIG, budget=budget)
-        budget.start()
-        cnf = CNF(num_vars=4200)
-        cnf.add_clauses([[v, v + 1] for v in range(1, 4200)])
-        cnf.add_clauses([[1], [-1]])
-        slot = SimpleNamespace(proof=[], core=())
-        report = backend._certify_slot(SimpleNamespace(cnf=cnf), slot, "vc")
-        assert report is not None
-        assert report.reason is ExhaustionReason.DEADLINE
+        solver = SmtSolver(incremental=True, budget=budget,
+                           options=EngineOptions(jobs=2, certify=True))
+        self._wide_unsat(solver)
+        monkeypatch.setattr(
+            SmtSolver, "check",
+            lambda *args: pytest.fail("answered outside the batch"))
+        answers = solver.check_each(
+            [mk_bool_var("goal0"), mk_bool_var("goal1")])
+        for result, report, _ in answers:
+            assert result is CheckResult.UNKNOWN
+            assert report.reason is ExhaustionReason.DEADLINE
+            assert report.proofs_failed == 0
 
 
 # ----- certified answers on the seed machines --------------------------------
