@@ -26,7 +26,7 @@ The package provides:
 * :mod:`repro.obs` — zero-dependency observability: hierarchical
   spans, a metrics registry, and JSONL / Chrome-trace / Prometheus
   exporters across the whole compile–solve pipeline;
-* :mod:`repro.trust` — certified answers: DRAT-style proof logging in
+* :mod:`repro.trust` — certified answers: hinted (LRAT) proof logging in
   the CDCL core, an independent proof checker, and unsat cores, so
   UNSAT/VERIFIED claims can be machine-checked
   (``analyze(certify=True)`` / ``REPRO_CERTIFY=1``);
@@ -86,7 +86,7 @@ from .lang.parser import parse_expr, parse_program
 from .lang.pretty import pretty_program
 from .obs import METRICS, TRACER, TelemetrySnapshot, telemetry
 from .persist import BatchRunner, CheckpointStore, Journal
-from .trust import Certificate, DratChecker, DratError, ProofLog, check_drat
+from .trust import Certificate, LratChecker, LratError, ProofLog, check_lrat
 from .client import ServiceClient, ServiceUnavailable
 from .serve import AnalysisService, ReproServer, ServeConfig
 
@@ -104,8 +104,6 @@ __all__ = [
     "Connection",
     "Certificate",
     "DafnyBackend",
-    "DratChecker",
-    "DratError",
     "EXIT_CERTIFICATION",
     "EXIT_DEADLETTER",
     "EXIT_ERROR",
@@ -115,6 +113,8 @@ __all__ = [
     "FPerfBackend",
     "Interpreter",
     "Journal",
+    "LratChecker",
+    "LratError",
     "METRICS",
     "ModelChecker",
     "NetworkBackend",
@@ -137,7 +137,7 @@ __all__ = [
     "Verdict",
     "analyze",
     "analyze_many",
-    "check_drat",
+    "check_lrat",
     "check_program",
     "inject_faults",
     "parse_expr",

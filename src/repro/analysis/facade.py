@@ -33,7 +33,7 @@ back end (for its term accessors) and return the query Term.
 Engine knobs: ``jobs`` (portfolio/VC parallelism, default
 ``$REPRO_JOBS``), ``cache`` (result cache, default ``$REPRO_CACHE``),
 ``incremental`` (shared encodings; each back end picks its own sound
-default), ``certify`` (require checker-accepted DRAT certificates for
+default), ``certify`` (require checker-accepted LRAT certificates for
 UNSAT/VERIFIED answers, default ``$REPRO_CERTIFY``), ``chaos`` and
 ``solver_factory`` (test seams).
 

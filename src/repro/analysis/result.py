@@ -70,7 +70,7 @@ EXIT_ERROR = 4
 
 #: Exit code for "an answer was produced but failed certification": a
 #: certified run (``analyze(certify=True)`` / ``--certify``) refused an
-#: UNSAT/VERIFIED claim because its DRAT certificate did not check.
+#: UNSAT/VERIFIED claim because its LRAT certificate did not check.
 EXIT_CERTIFICATION = 5
 
 #: Exit code for "a durable batch finished with deadlettered jobs": a

@@ -32,7 +32,7 @@ defined): 0 — all asserts proved; 1 — a counterexample was found; 2 —
 undecided (e.g. an injected fault); 3 — the resource budget was
 exhausted (``--timeout``); 4 — usage/input errors; 5 — an answer was
 produced but failed certification (``--certify``: an UNSAT/VERIFIED
-claim whose DRAT certificate did not check is never reported as
+claim whose LRAT certificate did not check is never reported as
 proved); 6 — a ``batch run``/``resume`` finished with deadlettered
 jobs (retry budget exhausted or a permanent per-job error).
 """
@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def certify_opt(p):
         p.add_argument("--certify", action="store_true",
-                       help="require a checker-accepted DRAT certificate"
+                       help="require a checker-accepted LRAT certificate"
                             " for every UNSAT/VERIFIED answer; a rejected"
                             " proof exits 5 instead of reporting proved"
                             " (default $REPRO_CERTIFY)")

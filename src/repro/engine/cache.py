@@ -32,7 +32,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..obs import METRICS
 from ..smt.intervals import BoundsEnv
@@ -146,21 +146,29 @@ class ResultCache:
 
     # ----- lookup -----------------------------------------------------------
 
-    def get(self, key: str) -> Optional[CacheEntry]:
+    def get(self, key: str,
+            usable: Optional[Callable[[CacheEntry], bool]] = None,
+            ) -> Optional[CacheEntry]:
+        """The entry under ``key``, or None on a miss.
+
+        An entry that ``usable`` refuses (say, an UNSAT entry when the
+        caller needs a proof) is kept but counted and answered as a miss.
+        """
+        tier = "memory"
         entry = self._lru.get(key)
         if entry is not None:
             self._lru.move_to_end(key)
+        else:
+            tier = "disk"
+            entry = self._disk_get(key)
+            if entry is not None:
+                self._remember(key, entry)
+        if entry is not None and (usable is None or usable(entry)):
             self.stats.hits += 1
+            if tier == "disk":
+                self.stats.disk_hits += 1
             if METRICS.enabled:
-                METRICS.counter_inc("repro_cache_hits_total", tier="memory")
-            return entry
-        entry = self._disk_get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            if METRICS.enabled:
-                METRICS.counter_inc("repro_cache_hits_total", tier="disk")
-            self._remember(key, entry)
+                METRICS.counter_inc("repro_cache_hits_total", tier=tier)
             return entry
         self.stats.misses += 1
         if METRICS.enabled:

@@ -295,7 +295,7 @@ class SlotResult:
     reason: Optional[str] = None  # ExhaustionReason.value for UNKNOWN
     stats: SatStats = dataclasses.field(default_factory=SatStats)
     error: Optional[str] = None
-    # Certified UNSAT answers: the worker's DRAT proof steps and (for
+    # Certified UNSAT answers: the worker's hinted proof steps and (for
     # assumption slots) the unsat assumption core.
     proof: Optional[list] = None
     core: tuple = ()

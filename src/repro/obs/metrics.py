@@ -79,8 +79,8 @@ _HELP: dict[str, str] = {
     "repro_engine_quarantined_total":
         "Queries quarantined after repeated worker loss.",
     # trust layer
-    "repro_trust_proofs_checked_total": "DRAT certificates checked.",
-    "repro_trust_proofs_failed_total": "DRAT certificates rejected.",
+    "repro_trust_proofs_checked_total": "LRAT certificates checked.",
+    "repro_trust_proofs_failed_total": "LRAT certificates rejected.",
     # chaos harness
     "repro_chaos_injected_total": "Faults injected by the chaos monkey, by kind.",
     # persistence

@@ -13,7 +13,7 @@ solve path: a budget- or conflict-cap-exhausted UNKNOWN saves a
 checkpoint; the next check of the same query restores it — learned
 clauses, phases and the Luby position survive process death.  A
 definitive answer discards the checkpoint.  Certified runs skip restore
-(a DRAT log cannot replay clause derivations from a previous process)
+(a proof log cannot replay clause derivations from a previous process)
 and the parallel portfolio path does not checkpoint (workers race
 non-deterministically).
 

@@ -68,7 +68,7 @@ class ResourceReport:
     # dying/hanging, and queries quarantined after repeated worker loss.
     workers_respawned: int = 0
     quarantined_queries: int = 0
-    # Trust layer (repro.trust): DRAT certificates checked and rejected.
+    # Trust layer (repro.trust): LRAT certificates checked and rejected.
     proofs_checked: int = 0
     proofs_failed: int = 0
 

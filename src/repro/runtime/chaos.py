@@ -55,7 +55,7 @@ class ChaosConfig:
     fault_rate: float = 0.0
     delay_rate: float = 0.0
     delay_seconds: float = 0.005
-    # Trust/engine hooks: corrupt a DRAT certificate before checking,
+    # Trust/engine hooks: corrupt an LRAT certificate before checking,
     # corrupt a cache entry's on-disk text before writing, or hard-kill
     # a portfolio worker at task receipt (at most worker_max_crashes
     # times per query, so retries can be exercised deterministically).
@@ -206,16 +206,16 @@ class ChaosMonkey:
         return None
 
     def corrupt_proof(self, cert) -> bool:
-        """Maybe prepend a non-RUP step to a :class:`Certificate`.
+        """Maybe prepend a bogus step to a :class:`Certificate`.
 
-        Prepended (not appended) so the bogus step is examined *before*
-        the refutation point — an appended step would land where the
-        checker has already derived the empty clause and accepts
-        anything.
+        The step adds a unit on a fresh variable with no hints, so no
+        hint can conflict and the checker must reject it.  Prepended
+        (not appended) so it also precedes the refutation: a core
+        certificate's final step must stay the negated core.
         """
         if not self.fires("proof_corrupt"):
             return False
-        cert.steps.insert(0, ("a", (cert.num_vars + 1,)))
+        cert.steps.insert(0, ("a", 0, (cert.num_vars + 1,), ()))
         return True
 
     def corrupt_cache_text(self, text: str) -> str:

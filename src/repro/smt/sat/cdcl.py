@@ -28,12 +28,12 @@ restarts, solving under assumptions with unsat-core extraction.
 Individual features can be switched off through :class:`CDCLConfig`,
 which the SAT ablation benchmark (experiment A2 in DESIGN.md) uses.
 
-Proof logging stays sound under inprocessing because every derived
-clause (resolvent, strengthened clause, vivified clause) is a reverse
-unit propagation (RUP) consequence of clauses alive when it is logged,
-and the solver never logs deletions for irredundant clauses — the
-checker keeping extra clauses can only make *more* additions pass, so
-deletions remain a performance matter, never a soundness one.
+With a proof log (``--certify``) every derived clause (learnt,
+resolvent, strengthened, vivified, root unit, the empty clause and a
+final negated core) is logged with hints (LRAT); how the hints are
+read off the solver's state is in :mod:`repro.smt.sat.hints`.  Proof
+logging never moves the search, and without a log the search loops do
+no proof work at all.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from ..cnf import CNF
 from ..stats import SatStats
+from .hints import ProofHints
 from ...obs import METRICS
 from ...obs.progress import BEACON
 
@@ -205,7 +206,7 @@ def _luby(i: int) -> int:
 _UNASSIGNED = 0
 
 
-class CDCLSolver:
+class CDCLSolver(ProofHints):
     """CDCL SAT solver over DIMACS-style literals.
 
     Typical use::
@@ -231,10 +232,22 @@ class CDCLSolver:
                  proof: Optional["ProofLog"] = None):
         self.config = config or CDCLConfig()
         self.budget = budget
-        # Optional DRAT-style proof log: every learned/derived clause,
-        # every learned-clause deletion, and the empty clause on root
-        # unsatisfiability.  Checked by repro.trust.drat independently.
+        # Optional hinted proof log: every derived clause with the
+        # clause ids that make it RUP, every learned-clause deletion,
+        # and the refutation.  Checked by repro.trust.drat independently.
         self.proof = proof
+        # Proof bookkeeping, kept only with a proof log: the proof id of
+        # each arena clause (``~pos`` for an original, where pos is its
+        # index in the clause list given to the loaders), the proof id
+        # of the unit clause behind each root-level variable that has
+        # one, the originals loading cut (see _original_id), the ids of
+        # the clauses on each elimination frame, and how many originals
+        # add_clause has seen.
+        self._c_pid: list[int] = []
+        self._units: dict[int, int] = {}
+        self._cut: dict[int, object] = {}
+        self._elim_pids: list[list[int]] = []
+        self._n_orig = 0
         # Populated when solve() answers UNKNOWN: a ResourceReport when a
         # Budget ran out, None when only the per-call conflict cap hit
         # (the retryable case the escalation portfolio targets).
@@ -356,15 +369,46 @@ class CDCLSolver:
     def _lit_value(self, lit: int) -> int:
         return self._vals[(lit + lit) if lit > 0 else (1 - lit - lit)]
 
-    def _log_empty(self) -> None:
-        """Log the empty clause: the proof's terminal refutation step."""
+    def _assert_unit(self, q: int, pid: int) -> bool:
+        """Assert unassigned literal ``q`` at the root (proof id ``pid``)
+        and propagate; False iff that refutes the formula."""
+        self._enqueue(q, -1)
         if self.proof is not None:
-            self.proof.add(())
+            self._units[q >> 1] = pid
+        confl = self._propagate()
+        if confl >= 0:
+            self._refute(confl)
+            return False
+        return True
+
+    def _derived(self, keep: list[int], hints: Sequence[int]
+                 ) -> Optional[tuple[list[int], int]]:
+        """Root-normalize and log a derived clause (literal indices).
+
+        None when a literal is true at the root.  Otherwise returns the
+        unassigned literals and the proof id of the logged clause (0
+        without a proof); the units of dropped false literals are cited
+        first.
+        """
+        vals = self._vals
+        if any(vals[q] > 0 for q in keep):
+            return None
+        live = [q for q in keep if vals[q] == 0]
+        pid = 0
+        if self.proof is not None:
+            if len(live) < len(keep):
+                hints = [self._unit_id(q >> 1) for q in keep
+                         if vals[q] < 0] + list(hints)
+            pid = self.proof.add(self._to_signed(live), hints)
+        return live, pid
 
     # ----- clause arena -----------------------------------------------------
 
-    def _alloc(self, lits: list[int], learnt: bool, lbd: int = 0) -> int:
-        """Append a clause of literal *indices* to the arena."""
+    def _alloc(self, lits: list[int], learnt: bool, lbd: int = 0,
+               pid: int = 0) -> int:
+        """Append a clause of literal *indices* (proof id ``pid``)."""
+        if self.proof is not None:
+            self._c_pid.append(pid)
         cid = len(self._c_start)
         self._c_start.append(len(self._ar))
         self._c_size.append(len(lits))
@@ -435,19 +479,29 @@ class CDCLSolver:
     def _remove_clause(self, cid: int) -> None:
         """Detach + kill, logging the deletion only for learned clauses.
 
-        Irredundant deletions are deliberately *not* logged: the DRAT
-        checker keeping them is sound (extra clauses only help RUP),
-        and it keeps reintroduction after variable elimination honest.
+        Irredundant deletions are deliberately *not* logged, so their
+        ids stay citable: reintroduction after variable elimination
+        re-attaches them under the same ids.
         """
         if self._c_dead[cid]:
             return
-        if self.proof is not None and self._c_learnt[cid]:
-            self.proof.delete(self._clause_lits(cid))
+        if self.proof is not None:
+            self._retire(cid)
         self._detach(cid)
         self._kill(cid)
 
     def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add a clause; returns False if the formula became trivially unsat."""
+        """Add a clause; returns False if the formula became trivially unsat.
+
+        In the proof it is original number ``n`` when ``n`` clauses
+        were given before it.
+        """
+        pid = ~self._n_orig
+        self._n_orig += 1
+        return self._add_clause(lits, pid)
+
+    def _add_clause(self, lits: Iterable[int], pid: int) -> bool:
+        """:meth:`add_clause` for a clause with proof id ``pid``."""
         if not self._ok:
             return False
         lits = list(lits)
@@ -484,21 +538,25 @@ class CDCLSolver:
                     continue
             seen.add(lit)
             clause.append(lit)
-        if not clause:
-            self._log_empty()
+        idxs = [(l + l) if l > 0 else (1 - l - l) for l in clause]
+        if self.proof is not None and (root or not lits):
+            pid = self._original_id(lits, idxs, pid)
+        if not idxs:
             self._ok = False
             return False
-        idxs = [(l + l) if l > 0 else (1 - l - l) for l in clause]
         if len(idxs) == 1:
             if not self._enqueue(idxs[0], -1):
-                self._log_empty()
+                self._refute_unit(idxs[0], pid)
                 self._ok = False
                 return False
-            self._ok = self._propagate() < 0
+            if self.proof is not None and not self._trail_lim:
+                self._units.setdefault(idxs[0] >> 1, pid)
+            confl = self._propagate()
+            self._ok = confl < 0
             if not self._ok:
-                self._log_empty()
+                self._refute(confl)
             return self._ok
-        cid = self._alloc(idxs, learnt=False)
+        cid = self._alloc(idxs, learnt=False, pid=pid)
         self._attach(cid)
         return True
 
@@ -506,11 +564,12 @@ class CDCLSolver:
                     start: int = 0) -> bool:
         """Add ``clauses[start:]``; False once the formula is trivially unsat.
 
-        Leaves exactly the state that :meth:`add_clause` on each clause
-        in turn leaves (same arena, watches, trail, heap and proof
-        steps, or the same exception at the same clause), in one pass
-        with local bindings.  The budget is polled before clause ``i``
-        whenever ``i & 0xFFF == 0xFFF``.  If an exception escapes,
+        ``clauses[i]`` is original number ``i`` in the proof.  Leaves
+        exactly the state that adding each clause in turn leaves (same
+        arena, watches, trail, heap and proof steps, or the same
+        exception at the same clause), in one pass with local bindings.
+        The budget is polled before clause ``i`` whenever
+        ``i & 0xFFF == 0xFFF``.  If an exception escapes,
         :attr:`load_stopped_at` is the index of the clause it stopped
         at (earlier clauses are loaded, later ones are not).  Off the
         root, or once variables were eliminated, it falls back to
@@ -528,6 +587,7 @@ class CDCLSolver:
         c_learnt = self._c_learnt
         watches = self._watches
         bins = self._bins
+        pids = self._c_pid if self.proof is not None else None
         nvals = len(vals)
 
         def flush() -> None:
@@ -546,7 +606,7 @@ class CDCLSolver:
                 if budget is not None and (i & 0xFFF) == 0xFFF:
                     budget.checkpoint("loading CNF into CDCL")
                 if per_clause:
-                    if not self.add_clause(clauses[i]):
+                    if not self._add_clause(clauses[i], ~i):
                         return False
                     i += 1
                     continue
@@ -577,6 +637,10 @@ class CDCLSolver:
                     continue
                 k = len(out)
                 if k > 1:
+                    if pids is not None:
+                        pids.append(~(i - 1) if k == len(clauses[i - 1])
+                                    else self._original_id(clauses[i - 1],
+                                                           out, ~(i - 1)))
                     cid = len(c_start)
                     c_start.append(len(ar))
                     c_size.append(k)
@@ -591,24 +655,18 @@ class CDCLSolver:
                         watches[b ^ 1].extend((cid, a))
                     continue
                 flush()
-                if not k:
-                    self._log_empty()
-                    self._ok = False
-                    return False
+                pid = (self._original_id(clauses[i - 1], out, ~(i - 1))
+                       if pids is not None else 0)
                 # A unit enqueues and propagates at once, as in add_clause.
-                if not self._enqueue(out[0], -1):
-                    self._log_empty()
+                if not k or not self._assert_unit(out[0], pid):
                     self._ok = False
-                    return False
-                if self._propagate() >= 0:
-                    self._ok = False
-                    self._log_empty()
                     return False
         except BaseException:
             self.load_stopped_at = i
             raise
         finally:
             flush()
+            self._n_orig = i
         return True
 
     def add_cnf(self, cnf: CNF) -> bool:
@@ -1008,7 +1066,7 @@ class CDCLSolver:
             removed = 0
             for cid in cand[:len(cand) // 2]:
                 if proof is not None:
-                    proof.delete(self._clause_lits(cid))
+                    proof.delete(self._c_pid[cid])
                 self._detach(cid)
                 self._kill(cid)
                 removed += 1
@@ -1052,6 +1110,9 @@ class CDCLSolver:
         self._c_lbd = nb
         self._c_act = na
         self._c_dead = [0] * len(ns)
+        if self.proof is not None:
+            pids = self._c_pid
+            self._c_pid = [pids[c] for c in range(n_old) if remap[c] >= 0]
         self._free_lits = 0
         reason = self._reason
         for lit in self._trail:
@@ -1130,7 +1191,7 @@ class CDCLSolver:
         root-level assignment, so restoring is safe even if level-0
         propagation ordered differently.  Raises :class:`ValueError`
         on a structural mismatch and refuses proof-logging solvers —
-        a DRAT log cannot certify clauses whose derivations happened
+        a proof log cannot certify clauses whose derivations happened
         in a previous process.
         """
         if self.proof is not None:
@@ -1146,7 +1207,6 @@ class CDCLSolver:
             )
         self._backtrack(0)
         if not state.get("ok", True):
-            self._log_empty()
             self._ok = False
             return 0
         restored = 0
@@ -1167,7 +1227,6 @@ class CDCLSolver:
             if satisfied:
                 continue
             if not keep:
-                self._log_empty()
                 self._ok = False
                 return restored
             if len(keep) == 1:
@@ -1182,7 +1241,6 @@ class CDCLSolver:
             self._attach(cid)
             restored += 1
         if self._propagate() >= 0:
-            self._log_empty()
             self._ok = False
         activity = state.get("activity", ())
         for v, act in enumerate(activity, start=1):
@@ -1270,8 +1328,9 @@ class CDCLSolver:
                     self._restore_eliminated(v)
         if not self._ok:
             return SatResult.UNSAT
-        if self._propagate() >= 0:
-            self._log_empty()
+        confl = self._propagate()
+        if confl >= 0:
+            self._refute(confl)
             self._ok = False
             return SatResult.UNSAT
         for a in assumptions:
@@ -1310,17 +1369,22 @@ class CDCLSolver:
                 if budget is not None:
                     budget.charge_conflicts(1)
                 if not self._trail_lim:
-                    self._log_empty()
+                    self._refute(conflict)
                     self._ok = False
                     return SatResult.UNSAT
                 learnt, bt_level, lbd = self._analyze(conflict)
+                pid = 0
                 if self.proof is not None:
-                    self.proof.add(self._to_signed(learnt))
+                    pid = self.proof.add(
+                        self._to_signed(learnt),
+                        self._hints([q >> 1 for q in learnt], conflict))
                 self._backtrack(bt_level)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], -1)
+                    if pid:
+                        self._units[learnt[0] >> 1] = pid
                 else:
-                    cid = self._alloc(learnt, learnt=True, lbd=lbd)
+                    cid = self._alloc(learnt, learnt=True, lbd=lbd, pid=pid)
                     self._attach(cid)
                     self._c_act[cid] = self._cla_inc
                     self.stats.learned += 1
@@ -1390,6 +1454,8 @@ class CDCLSolver:
                 if val == -1:
                     self._conflict_assumptions = self._analyze_final(
                         a, assumptions)
+                    if self.proof is not None:
+                        self._log_core(a)
                     return SatResult.UNSAT
                 next_lit = (a + a) if a > 0 else (1 - a - a)
             else:
@@ -1557,47 +1623,38 @@ class CDCLSolver:
                 continue
             if not has_false:
                 continue
-            keep = [ar[k] for k in range(s, end) if vals[ar[k]] == 0]
-            if not self._replace_clause(cid, keep):
+            hints = ((self._cite(self._c_pid[cid]),)
+                     if self.proof is not None else ())
+            if not self._replace_clause(cid, ar[s:end], hints):
                 return False
         return True
 
-    def _replace_clause(self, cid: int, keep: list[int]) -> bool:
+    def _replace_clause(self, cid: int, keep: list[int],
+                        hints: Sequence[int]) -> bool:
         """Swap a live clause for a strengthened version; False iff UNSAT.
 
-        ``keep`` is in literal-index form.  Logs the strengthened clause
-        as an addition *before* retiring the original (RUP needs the
-        original alive), handles the unit and empty cases, and preserves
-        the learnt flag/LBD.
+        ``keep`` is in literal-index form, derived with ``hints``.  The
+        strengthened clause is logged before the original is retired;
+        the unit and empty cases are handled, and the learnt flag/LBD
+        preserved.
         """
-        proof = self.proof
-        if not keep:
-            self._log_empty()
-            return False
-        if proof is not None:
-            proof.add(self._to_signed(keep))
         # Units derived earlier in the same pass may already decide some
-        # of ``keep`` at the root; re-normalize so the watch invariant
-        # holds at attach time (the stripped literals stay RUP-derivable
-        # for proof replay — they follow from logged root units).
-        vals = self._vals
-        if any(vals[q] > 0 for q in keep):
+        # of ``keep`` at the root; normalize so the watch invariant holds
+        # at attach time.
+        got = self._derived(keep, hints)
+        if got is None:
             self._remove_clause(cid)
             return True  # satisfied at the root forever
-        keep = [q for q in keep if vals[q] == 0]
+        keep, pid = got
         if not keep:
-            self._log_empty()
             return False
         if len(keep) == 1:
             self._remove_clause(cid)
-            if not self._enqueue(keep[0], -1) or self._propagate() >= 0:
-                self._log_empty()
-                return False
-            return True
+            return self._assert_unit(keep[0], pid)
         learnt = bool(self._c_learnt[cid])
         lbd = min(self._c_lbd[cid], len(keep)) if learnt else 0
         act = self._c_act[cid]
-        new_cid = self._alloc(keep, learnt=learnt, lbd=lbd)
+        new_cid = self._alloc(keep, learnt=learnt, lbd=lbd, pid=pid)
         self._c_act[new_cid] = act
         self._attach(new_cid)
         self._remove_clause(cid)
@@ -1707,7 +1764,10 @@ class CDCLSolver:
                                 if ar[k] != negged]
                         old_did = did
                         new_cid = len(starts)
-                        if not self._replace_clause(old_did, keep):
+                        hints = ((self._cite(self._c_pid[cid]),
+                                  self._cite(self._c_pid[did]))
+                                 if self.proof is not None else ())
+                        if not self._replace_clause(old_did, keep, hints):
                             return False
                         # _replace_clause may not allocate (strengthened
                         # to a unit, or normalized away against the root
@@ -1767,6 +1827,7 @@ class CDCLSolver:
                 self._detach(cid)
                 assumed: list[int] = []
                 shrunk = False
+                confl = -1
                 last = lits[-1]
                 for l in lits:
                     v = vals[l]
@@ -1784,14 +1845,24 @@ class CDCLSolver:
                         break
                     self._trail_lim.append(len(self._trail))
                     self._enqueue(l ^ 1, -1)
-                    if self._propagate() >= 0:
+                    confl = self._propagate()
+                    if confl >= 0:
                         # Prefix already contradictory: C' = prefix.
                         shrunk = True
                         break
+                shrunk = shrunk and len(assumed) < len(lits)
+                hints = ()
+                if shrunk and self.proof is not None:
+                    # The trail under -C' falsifies the conflict, the
+                    # reason of a literal it implied, or C itself.
+                    if confl < 0:
+                        q = assumed[-1]
+                        confl = self._reason[q >> 1] if vals[q] > 0 else cid
+                    hints = self._hints([q >> 1 for q in assumed], confl)
                 self._backtrack(0)
-                if shrunk and len(assumed) < len(lits):
+                if shrunk:
                     self.stats.vivified_lits += len(lits) - len(assumed)
-                    if not self._replace_clause_detached(cid, assumed):
+                    if not self._replace_clause_detached(cid, assumed, hints):
                         return False
                 else:
                     self._attach(cid)
@@ -1802,34 +1873,25 @@ class CDCLSolver:
             self.stats.vivify_propagations += (
                 self.stats.propagations - start_props)
 
-    def _replace_clause_detached(self, cid: int, keep: list[int]) -> bool:
+    def _replace_clause_detached(self, cid: int, keep: list[int],
+                                 hints: Sequence[int]) -> bool:
         """Like :meth:`_replace_clause` for an already-detached original."""
-        proof = self.proof
-        if not keep:
-            self._log_empty()
-            return False
-        if proof is not None:
-            proof.add(self._to_signed(keep))
-        if proof is not None and self._c_learnt[cid]:
-            proof.delete(self._clause_lits(cid))
-        self._kill(cid)
         # Same root-normalization as _replace_clause: never attach a
         # clause whose watched literals may already be false at level 0.
-        vals = self._vals
-        if any(vals[q] > 0 for q in keep):
+        got = self._derived(keep, hints)
+        if self.proof is not None:
+            self._retire(cid)
+        self._kill(cid)
+        if got is None:
             return True  # satisfied at the root forever
-        keep = [q for q in keep if vals[q] == 0]
+        keep, pid = got
         if not keep:
-            self._log_empty()
             return False
         if len(keep) == 1:
-            if not self._enqueue(keep[0], -1) or self._propagate() >= 0:
-                self._log_empty()
-                return False
-            return True
+            return self._assert_unit(keep[0], pid)
         learnt = bool(self._c_learnt[cid])
         lbd = min(self._c_lbd[cid], len(keep)) if learnt else 0
-        new_cid = self._alloc(keep, learnt=learnt, lbd=lbd)
+        new_cid = self._alloc(keep, learnt=learnt, lbd=lbd, pid=pid)
         self._c_act[new_cid] = self._c_act[cid]
         self._attach(new_cid)
         return True
@@ -1841,11 +1903,13 @@ class CDCLSolver:
         and cheap: both polarities occur at most ``elim_occ_limit``
         times among irredundant clauses, and the non-tautological
         resolvent count does not grow the database by more than
-        ``elim_growth``.  Resolvents are logged as RUP additions before
-        the originals are retired; the originals move to the
-        elimination stack for model extension and reintroduction.
+        ``elim_growth``.  Each resolvent is logged as derived from its
+        two parents; the originals move to the elimination stack for
+        model extension and reintroduction.
         """
         config = self.config
+        proof = self.proof
+        c_pid = self._c_pid
         occ, _sig = self._build_occ()
         ar = self._ar
         starts = self._c_start
@@ -1882,6 +1946,7 @@ class CDCLSolver:
             pos_idx = v + v
             neg_idx = pos_idx + 1
             resolvents: list[list[int]] = []
+            parents: list[tuple[int, int]] = []  # with a proof log only
             feasible = True
             for p_cid in pos:
                 ps = starts[p_cid]
@@ -1908,6 +1973,8 @@ class CDCLSolver:
                         feasible = False
                         break
                     resolvents.append(res)
+                    if proof is not None:
+                        parents.append((p_cid, n_cid))
                     if len(resolvents) > budget_clauses:
                         feasible = False
                         break
@@ -1917,16 +1984,15 @@ class CDCLSolver:
                     break
             if not feasible:
                 continue
-            # Commit: log + install resolvents while the originals are
-            # still alive (each resolvent is RUP against them), then
-            # retire the originals onto the elimination stack.
-            proof = self.proof
+            # Commit: retire the originals onto the elimination stack
+            # (their proof ids stay citable: irredundant deletions are
+            # never logged), then install the resolvents, each logged as
+            # derived from its two parents.
             saved: list[list[int]] = []
             for cid in pos + neg:
                 saved.append(self._clause_lits(cid))
-            for res in resolvents:
-                if proof is not None:
-                    proof.add(self._to_signed(res))
+            if proof is not None:
+                self._elim_pids.append([c_pid[c] for c in pos + neg])
             self._elim_stack.append((v, saved))
             self._eliminated[v] = 1
             self.stats.eliminated += 1
@@ -1937,36 +2003,30 @@ class CDCLSolver:
             for cid in occ[v + v] + occ[v + v + 1]:
                 if not dead[cid] and learnt[cid]:
                     self._remove_clause(cid)
-            failed = False
-            for res in resolvents:
-                if failed:
-                    break
+            for j, res in enumerate(resolvents):
                 # Normalize against the root assignment: unit resolvents
                 # installed earlier in this loop propagate at level 0, so
                 # a later resolvent may carry literals that are already
                 # decided.  Attaching it unfiltered can watch two false
                 # literals — the clause then never wakes propagation and
                 # the search can "satisfy" the formula while violating it.
-                if any(vals[q] > 0 for q in res):
+                got = self._derived(res, (
+                    (self._cite(c_pid[parents[j][0]]),
+                     self._cite(c_pid[parents[j][1]]))
+                    if proof is not None else ()))
+                if got is None:
                     continue  # satisfied at the root forever
-                live = [q for q in res if vals[q] == 0]
+                live, pid = got
                 if not live:
-                    failed = True
-                    continue
+                    return False
                 if len(live) == 1:
-                    if not self._enqueue(live[0], -1):
-                        failed = True
-                        continue
-                    if self._propagate() >= 0:
-                        failed = True
+                    if not self._assert_unit(live[0], pid):
+                        return False
                     continue
-                cid = self._alloc(live, learnt=False)
+                cid = self._alloc(live, learnt=False, pid=pid)
                 self._attach(cid)
                 for q in live:
                     occ[q].append(cid)
-            if failed:
-                self._log_empty()
-                return False
         return True
 
     def _restore_eliminated(self, var: int) -> None:
@@ -1980,9 +2040,10 @@ class CDCLSolver:
         """
         while self._eliminated[var] and self._elim_stack:
             v, saved = self._elim_stack.pop()
+            pids = self._elim_pids.pop() if self.proof is not None else None
             self._eliminated[v] = 0
-            for lits in saved:
-                if not self.add_clause(lits):
+            for k, lits in enumerate(saved):
+                if not self._add_clause(lits, pids[k] if pids else 0):
                     return
 
     # ----- one-shot convenience -------------------------------------------

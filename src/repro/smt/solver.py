@@ -44,7 +44,7 @@ left at ``None`` it is resolved once, here in the constructor, from the
   the same theory); models and timings may vary.
 * ``cache`` is consulted *before* encoding; identical (formulas,
   bounds) queries answer in microseconds.
-* ``certify`` requires every UNSAT answer to carry a DRAT certificate
+* ``certify`` requires every UNSAT answer to carry an LRAT certificate
   the independent :mod:`repro.trust` checker accepts.
 * ``checkpoints`` lets a budget-exhausted sequential solve resume.
 
@@ -72,7 +72,7 @@ from ..runtime.budget import (
     SolverFault,
 )
 from ..engine.options import EngineOptions
-from ..trust import Certificate, DratChecker, ProofLog
+from ..trust import Certificate, LratChecker, ProofLog
 from .bitblast import BitBlaster
 from .intervals import BoundsEnv, Interval
 from .model import Model
@@ -110,7 +110,7 @@ class _SolveOutcome:
     stats: SatStats = field(default_factory=SatStats)
     exhaust_report: Optional[ResourceReport] = None
     attempts: int = 1
-    # Certified runs: the winning solver's DRAT proof steps and (for
+    # Certified runs: the winning solver's hinted proof steps and (for
     # UNSAT-under-assumptions) the failing assumption literals.
     proof: Optional[list] = None
     core: tuple = ()
@@ -154,12 +154,14 @@ class _Session:
         self.frames: list[_Frame] = [_Frame(act=None)]
         self.retired_acts: list[int] = []
         self.loaded_clauses = 0
-        # Live DRAT checker: a certified UNSAT feeds it only the clauses
-        # and proof steps that appeared since the last certification, so
-        # certifying N answers on one growing formula stays linear.
-        self.checker: Optional[DratChecker] = None
-        self.checked_clauses = 0
+        # Live proof checker: a certified UNSAT feeds it only the proof
+        # steps that appeared since the last certification (and the
+        # originals they cite), so certifying N answers on one growing
+        # formula stays linear in the proof.  ``cited`` accumulates the
+        # originals the accepted steps cite, for standalone certificates.
+        self.checker: Optional[LratChecker] = None
         self.checked_steps = 0
+        self.cited: dict[int, list[int]] = {}
 
     def retire_to(self, depth: int) -> None:
         """Drop frames beyond ``depth`` (called from ``pop()``)."""
@@ -240,7 +242,7 @@ class SmtSolver:
         self.escalation = escalation
         self.incremental = incremental
         # Resolved once: the environment is never consulted again.  With
-        # options.certify every UNSAT answer must carry a DRAT
+        # options.certify every UNSAT answer must carry an LRAT
         # certificate accepted by the independent repro.trust checker,
         # else the answer degrades to UNKNOWN(certification_failed).
         self.options = (
@@ -595,12 +597,20 @@ class SmtSolver:
                      memo: Optional[dict[Term, bytes]] = None,
                      ) -> tuple[str, Optional[CheckResult]]:
         """The cache key of a check of ``formulas``, and its cached
-        answer (None on a miss or an unusable entry)."""
+        answer (None on a miss or on an unusable entry, which the cache
+        then counts as a miss)."""
         from ..engine.cache import formula_fingerprint
 
         key = formula_fingerprint(formulas, self._bounds, memo)
-        hit = self.options.cache.get(key)
-        return key, None if hit is None else self._replay_cached(formulas, hit)
+        answer: Optional[CheckResult] = None
+
+        def replay(hit) -> bool:
+            nonlocal answer
+            answer = self._replay_cached(formulas, hit)
+            return answer is not None
+
+        self.options.cache.get(key, replay)
+        return key, answer
 
     def _replay_cached(self, formulas: list[Term],
                        hit) -> Optional[CheckResult]:
@@ -652,43 +662,40 @@ class SmtSolver:
 
     def _certify(self, sess: _Session,
                  outcome: _SolveOutcome) -> Optional[CheckResult]:
-        """Check an UNSAT answer's DRAT certificate.
+        """Check an UNSAT answer's hinted certificate.
 
         When the session's own solver answered, the session's live
-        checker is fed only the clauses and proof steps added since its
-        last certification (from offset 0 on a fresh session, which is
-        exactly :func:`repro.trust.check_drat`); a fresh-rung or
-        portfolio winner gets a fresh checker.  Returns None on success
-        (with :attr:`certificate` populated) or the degraded UNKNOWN
-        answer when the proof is rejected, or with the budget's reason
-        when the check runs out of budget — a certified run never
-        reports an UNSAT it cannot replay.  Either failure discards the
-        live checker, so the next certification rebuilds from scratch.
+        checker is fed only the proof steps added since its last
+        certification, and the originals they cite (from step 0 on a
+        fresh session, which is exactly :func:`repro.trust.check_lrat`);
+        a fresh-rung or portfolio winner gets a fresh checker.  Returns
+        None on success (with :attr:`certificate` populated) or the
+        degraded UNKNOWN answer when the proof is rejected, or with the
+        budget's reason when the check runs out of budget — a certified
+        run never reports an UNSAT it cannot replay.  Either failure
+        discards the live checker, so the next certification rebuilds
+        from scratch.
         """
         cnf = sess.blaster.cnf
         chk = sess.checker if outcome.live else None
         if chk is None:
-            chk = DratChecker(cnf.num_vars)
-            from_clause = from_step = 0
+            chk = LratChecker()
+            from_step = 0
         else:
-            from_clause, from_step = sess.checked_clauses, sess.checked_steps
+            from_step = sess.checked_steps
             sess.checker = None  # suspect until this certification passes
         steps = outcome.proof or []
-        cert = Certificate(
-            num_vars=cnf.num_vars,
-            clauses=cnf.clauses[from_clause:],
-            steps=steps[from_step:],
-            core=outcome.core,
-        )
+        cert = Certificate.of(cnf.num_vars, cnf.clauses, steps[from_step:],
+                              outcome.core)
         monkey = self._chaos
         if monkey is not None:
-            # Prepended to this check's own steps: once they derive the
-            # empty clause, the checker accepts anything after them.
             monkey.corrupt_proof(cert)
         try:
             with TRACER.span("proof-check", path=sess.path,
                              steps=len(cert.steps),
-                             clauses=len(cert.clauses)):
+                             hints=sum(len(s[3]) for s in cert.steps
+                                       if s[0] == "a"),
+                             cited=len(cert.clauses)):
                 ok = cert.verify(self.budget, checker=chk)
         except BudgetExhausted as exc:
             # Out of budget mid-check: the UNSAT is unchecked, not wrong.
@@ -699,18 +706,18 @@ class SmtSolver:
         if ok:
             if outcome.live:
                 sess.checker = chk
-                sess.checked_clauses = len(cnf.clauses)
                 sess.checked_steps = len(steps)
-            if from_clause or from_step:
-                # Vouched for by the live checker; the certificate still
-                # covers the whole CNF and proof for a standalone replay.
-                cert = Certificate(
-                    num_vars=cnf.num_vars,
-                    clauses=list(cnf.clauses),
-                    steps=list(steps),
-                    core=outcome.core,
-                    verified=True,
-                )
+                sess.cited.update(cert.clauses)
+                if from_step:
+                    # Vouched for by the live checker; the certificate
+                    # still covers the whole proof for a standalone replay.
+                    cert = Certificate(
+                        num_vars=cnf.num_vars,
+                        clauses=dict(sess.cited),
+                        steps=list(steps),
+                        core=outcome.core,
+                        verified=True,
+                    )
             self.certificate = cert
             return None
         self._proofs_failed += 1
@@ -740,7 +747,7 @@ class SmtSolver:
         # Checkpoint/resume (repro.persist): a previous budget-exhausted
         # solve of this exact CNF left its learned clauses on disk —
         # restore them into the first rung.  Certified runs skip both
-        # directions: a DRAT log cannot replay clause derivations made
+        # directions: a proof log cannot replay clause derivations made
         # by a previous process, so restored learnts would be
         # uncertifiable and a saved proof-logging state unusable.
         ck_store = (

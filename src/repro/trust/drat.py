@@ -1,346 +1,167 @@
-"""Independent DRAT proof checker (reverse unit propagation).
+"""Independent hinted (LRAT) proof checker.
 
-This is the read side of the trust layer: given the *original* CNF and
-the solver's clausal proof log, :class:`DratChecker` replays every
-addition by the RUP criterion — assume the negation of the clause,
-unit-propagate, and require a conflict — and every deletion by
-retiring the clause from propagation.  The checker shares no code with
-:mod:`repro.smt.sat.cdcl`; it is a from-scratch two-watched-literal
-propagator, so a bug in the solver cannot hide in the checker.
+This is the read side of the trust layer.  Every addition in the
+solver's proof log names the clauses that make it a reverse unit
+propagation (RUP) consequence, so :class:`LratChecker` never searches:
+it assumes the negation of the added clause, then walks the hints in
+order.  Each hinted clause must be unit under the assignment so far
+(its one open literal joins the assignment) and the last one must be
+falsified.  Checking costs the size of the hints, not of the CNF: only
+the original clauses the proof cites are ever read.  The checker shares
+no code with :mod:`repro.smt.sat.cdcl`, so a bug in the solver cannot
+hide in the checker.
 
 Soundness argument (why an accepted proof really refutes the CNF):
 
-* Every accepted addition is RUP with respect to the clauses currently
-  alive plus the persistent root assignments, and is therefore entailed
-  by them.
-* Root assignments are themselves unit-propagation consequences of
-  clauses alive at the time they were derived.
-* Deletions only *remove* clauses, so by induction everything the
-  checker ever uses is entailed by the original CNF.  An accepted empty
-  clause (or a core whose assumption yields a root conflict) therefore
-  certifies unsatisfiability (under those assumptions).
+* Let C be an accepted addition with hints h1..hk, and A0 the negation
+  of C.  Under A(i-1), every open literal of hi but one is false, so
+  any assignment that extends A(i-1) and satisfies hi sets that literal
+  true: A(i) is forced.  hk is falsified by A(k-1), so no assignment
+  that satisfies h1..hk falsifies C.  C is implied by its hints.  (A
+  tautological C is implied by anything and needs no hints.)
+* A hint names either an original clause, read by its position from
+  the certificate's copy of the CNF, or an earlier accepted addition.
+  Ids must increase and deleted ids are forgotten, so a hint can never
+  name a clause accepted later.  By induction, every accepted clause is
+  implied by the original CNF.
+* An accepted empty clause therefore certifies unsatisfiability.  An
+  UNSAT-under-assumptions answer is certified by a final addition equal
+  to the negated core: the CNF implies that at least one core literal
+  is false.
 
-Deletions never threaten soundness, only completeness — and since we
-generate the proofs ourselves, the solver guarantees (reasons on the
-final trail are locked, hence alive at end-of-log) make its own proofs
-checkable.
+Deletions only shrink the clause map, so they cannot make a bad proof
+pass; an unknown deletion is ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-from ..obs import TRACER
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # duck-typed, mirroring the solver's Budget handling
     from ...runtime.budget import Budget
 
 
-class DratError(Exception):
+class LratError(Exception):
     """A proof failed to verify (bad step, missing refutation, bad core)."""
 
 
-class _CClause:
-    __slots__ = ("lits", "watch", "deleted")
+class LratChecker:
+    """Replays a hinted proof over an id → clause map.
 
-    def __init__(self, lits: tuple[int, ...]):
-        self.lits = lits
-        # The two currently watched literals, or None when the clause is
-        # permanently satisfied/refuted at the root and never watched.
-        self.watch: Optional[tuple[int, int]] = None
-        self.deleted = False
-
-
-class DratChecker:
-    """Replays a clausal proof by reverse unit propagation.
-
-    The checker keeps one *persistent* partial assignment: the root-level
-    unit-propagation closure of the clauses added so far.  RUP checks and
-    core queries push temporary assumptions on top of it and always undo
-    back to the root, so a checker instance can be kept alive and fed
-    incrementally (new clauses, then new proof steps) across many
-    certifications of one growing formula.
+    Originals live under ``~pos`` (their position in the CNF's clause
+    list), derived clauses under their positive proof ids.  A checker
+    can be kept alive and fed incrementally (newly cited originals,
+    then new steps) across many certifications of one growing formula.
     """
 
-    def __init__(self, num_vars: int = 0):
-        self.num_vars = 0
-        #: True once the clause set is refuted at the root level.
+    def __init__(self):
+        self.clauses: dict[int, tuple[int, ...]] = {}
+        #: True once the empty clause was accepted.
         self.refuted = False
-        self._value: list[int] = [0]   # 1-indexed: +1 true, -1 false, 0 free
-        self._watches: dict[int, list[_CClause]] = {}
-        # Deletion index (sorted literals -> records, oldest first),
-        # built on the first deletion from ``_recs``, every record in
-        # insertion order; most proofs never delete.
-        self._recs: list[_CClause] = []
-        self._by_key: Optional[dict[tuple[int, ...], list[_CClause]]] = None
-        self._trail: list[int] = []
-        self._qhead = 0
-        self._ensure_vars(num_vars)
+        self.last_id = 0
+        #: The clause of the most recent accepted addition.
+        self.last: Optional[tuple[int, ...]] = None
 
-    # ----- assignment machinery ---------------------------------------------
+    def add_originals(self, cited: Mapping[int, Sequence[int]]) -> None:
+        """Install original clauses, keyed by their CNF positions."""
+        for pos, lits in cited.items():
+            clause = tuple(lits)
+            if 0 in clause:
+                raise LratError("0 is not a valid literal")
+            self.clauses[~pos] = clause
 
-    def _ensure_vars(self, n: int) -> None:
-        while self.num_vars < n:
-            self.num_vars += 1
-            self._value.append(0)
+    def add(self, cid: int, lits: Iterable[int],
+            hints: Sequence[int]) -> None:
+        """Accept derived clause ``cid`` if its hints make it RUP.
 
-    def _val(self, lit: int) -> int:
-        v = self._value[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _assign(self, lit: int) -> None:
-        self._value[abs(lit)] = 1 if lit > 0 else -1
-        self._trail.append(lit)
-
-    def _propagate(self) -> bool:
-        """Propagate queued assignments; True iff a conflict was found."""
-        value = self._value
-        watches = self._watches
-        trail = self._trail
-        qhead = self._qhead
-        while qhead < len(trail):
-            false_lit = -trail[qhead]
-            qhead += 1
-            watchers = watches.get(false_lit)
-            if not watchers:
-                continue
-            keep: list[_CClause] = []
-            i = 0
-            n = len(watchers)
-            while i < n:
-                rec = watchers[i]
-                i += 1
-                if rec.deleted:
-                    continue  # retired: drop from the watch list lazily
-                w0, w1 = rec.watch
-                if w0 == false_lit:
-                    w0, w1 = w1, w0
-                v0 = value[w0] if w0 > 0 else -value[-w0]
-                if v0 > 0:
-                    rec.watch = (w0, w1)
-                    keep.append(rec)
-                    continue
-                for q in rec.lits:
-                    if q != w0 and q != false_lit and (
-                            value[q] if q > 0 else -value[-q]) >= 0:
-                        rec.watch = (w0, q)
-                        watches.setdefault(q, []).append(rec)
-                        break
-                else:
-                    rec.watch = (w0, false_lit)
-                    keep.append(rec)
-                    if v0 < 0:
-                        # Conflict: restore the remaining watchers and stop.
-                        keep.extend(r for r in watchers[i:] if not r.deleted)
-                        watches[false_lit] = keep
-                        self._qhead = len(trail)
-                        return True
-                    if v0 == 0:
-                        if w0 > 0:
-                            value[w0] = 1
-                        else:
-                            value[-w0] = -1
-                        trail.append(w0)
-            watches[false_lit] = keep
-        self._qhead = qhead
-        return False
-
-    def _undo_to(self, saved: int) -> None:
-        for lit in self._trail[saved:]:
-            self._value[abs(lit)] = 0
-        del self._trail[saved:]
-        self._qhead = saved
-
-    # ----- queries ----------------------------------------------------------
-
-    def _rup(self, clause: tuple[int, ...]) -> bool:
-        """Is ``clause`` a reverse-unit-propagation consequence?"""
-        if self.refuted:
-            return True  # anything follows from a refuted clause set
-        saved = len(self._trail)
-        conflict = False
-        for lit in clause:
-            v = self._val(lit)
-            if v > 0:
-                # The clause is satisfied at the root: its negation is
-                # immediately contradictory.
-                conflict = True
-                break
-            if v == 0:
-                self._assign(-lit)
-        if not conflict:
-            conflict = self._propagate()
-        self._undo_to(saved)
-        return conflict
-
-    def assumptions_conflict(self, lits: Iterable[int]) -> bool:
-        """Do these assumption literals propagate to a conflict?
-
-        The final check for an UNSAT-under-assumptions certificate: the
-        core is genuine iff asserting it on top of the (replayed) clause
-        set refutes by unit propagation alone.  Temporary, like RUP.
-        """
-        if self.refuted:
-            return True
-        saved = len(self._trail)
-        conflict = False
-        for lit in lits:
-            self._ensure_vars(abs(lit))
-            v = self._val(lit)
-            if v < 0:
-                conflict = True
-                break
-            if v == 0:
-                self._assign(lit)
-        if not conflict:
-            conflict = self._propagate()
-        self._undo_to(saved)
-        return conflict
-
-    # ----- clause set maintenance -------------------------------------------
-
-    def add_clause(self, lits: Iterable[int], check: bool = False) -> None:
-        """Install a clause; with ``check=True`` verify it is RUP first.
-
-        Raises :class:`DratError` when a checked clause is not RUP —
-        that is the rejection path for corrupted or bogus proofs.
+        Raises :class:`LratError` otherwise: the rejection path for
+        corrupted or bogus proofs.
         """
         clause = tuple(lits)
-        if check:
-            for lit in clause:
-                if lit == 0:
-                    raise DratError("0 is not a valid literal")
-                self._ensure_vars(abs(lit))
-            if not self._rup(clause):
-                raise DratError(f"proof step is not RUP: {list(clause)}")
-        self.add_clauses((clause,))
+        self._rup(cid, clause, hints)
+        if cid <= self.last_id:
+            raise LratError(f"step {cid}: id is not above {self.last_id}")
+        self.clauses[cid] = clause
+        self.last_id = cid
+        self.last = clause
+        if not clause:
+            self.refuted = True
 
-    def add_clauses(self, clauses: Iterable[Sequence[int]],
-                    budget: Optional["Budget"] = None) -> None:
-        """Install clauses unchecked, in one pass with local bindings.
+    def delete(self, cid: int) -> None:
+        self.clauses.pop(cid, None)
 
-        Every clause gets a record for later deletions.  Duplicate
-        literals count once; a tautology or a clause true at the root is
-        never watched, a unit extends the root assignment, and a clause
-        false at the root refutes the set.  ``budget`` is polled before
-        clause ``i`` whenever ``i & 0xFFF == 0xFFF``.
-        """
-        value = self._value
-        watches = self._watches
-        recs = self._recs if self._by_key is None else None
-        nvals = len(value)
-        for i, lits in enumerate(clauses):
-            if budget is not None and (i & 0xFFF) == 0xFFF:
-                budget.checkpoint("DRAT check: loading CNF")
-            clause = tuple(lits)
-            for lit in clause:
-                v = lit if lit > 0 else -lit
-                if v >= nvals:
-                    self._ensure_vars(v)
-                    nvals = len(value)
-                elif not v:
-                    raise DratError("0 is not a valid literal")
-            rec = _CClause(clause)
-            if recs is not None:
-                recs.append(rec)
-            else:
-                self._by_key.setdefault(tuple(sorted(clause)), []).append(rec)
-            if self.refuted:
-                continue
-            # Unwatched when a literal is true at the root or the clause
-            # is a tautology; otherwise its distinct free literals decide.
-            free: list[int] = []
-            for lit in clause:
-                v = value[lit] if lit > 0 else -value[-lit]
-                if v > 0 or (not v and -lit in free):
-                    break
-                if not v and lit not in free:
-                    free.append(lit)
-            else:
-                if len(free) > 1:
-                    rec.watch = (free[0], free[1])
-                    watches.setdefault(free[0], []).append(rec)
-                    watches.setdefault(free[1], []).append(rec)
-                elif free:
-                    # Unit under the root assignment: extend the
-                    # persistent closure; once true it needs no watch.
-                    self._assign(free[0])
-                    if self._propagate():
-                        self.refuted = True
-                else:
-                    self.refuted = True  # all literals false at the root
+    def _rup(self, cid: int, clause: tuple[int, ...],
+             hints: Sequence[int]) -> None:
+        true: set[int] = set()
+        for lit in clause:
+            if not lit:
+                raise LratError("0 is not a valid literal")
+            if lit in true:
+                return  # a tautology
+            true.add(-lit)
+        clauses = self.clauses
+        final = len(hints) - 1
+        for i, h in enumerate(hints):
+            hinted = clauses.get(h)
+            if hinted is None:
+                raise LratError(f"step {cid}: hint {h} names no live clause")
+            unit = 0
+            for lit in hinted:
+                if lit in true:
+                    raise LratError(f"step {cid}: hint {h} is satisfied")
+                if -lit not in true:
+                    if unit and unit != lit:
+                        raise LratError(f"step {cid}: hint {h} is not unit")
+                    unit = lit
+            if not unit:
+                if i != final:
+                    raise LratError(
+                        f"step {cid}: hint {h} conflicts before the last hint")
+                return
+            true.add(unit)
+        raise LratError(
+            f"step {cid}: hints end without a conflict: {list(clause)}")
 
-    def delete_clause(self, lits: Iterable[int]) -> None:
-        """Retire one instance of the clause from propagation.
-
-        The most recently added live instance goes, whether the index
-        was built just now or kept since an earlier deletion.  Unknown
-        deletions are ignored: removing clauses can only weaken the
-        set, so leniency here cannot make an invalid proof pass.
-        """
-        if self._by_key is None:
-            self._by_key = {}
-            for rec in self._recs:
-                self._by_key.setdefault(tuple(sorted(rec.lits)), []).append(rec)
-            self._recs = []
-        key = tuple(sorted(lits))
-        recs = self._by_key.get(key)
-        if not recs:
-            return
-        rec = recs.pop()
-        if not recs:
-            del self._by_key[key]
-        rec.deleted = True
-
-    def apply_step(self, step: tuple[str, tuple[int, ...]]) -> None:
-        kind, lits = step
-        if kind == "a":
-            self.add_clause(lits, check=True)
-        elif kind == "d":
-            self.delete_clause(lits)
-        else:
-            raise DratError(f"unknown proof step kind {kind!r}")
-
-    def apply_steps(self, steps: Iterable[tuple[str, tuple[int, ...]]],
-                    budget: Optional["Budget"] = None) -> None:
-        """Replay proof steps; ``budget`` is polled every 256 steps."""
+    def apply(self, steps: Iterable[tuple],
+              budget: Optional["Budget"] = None) -> None:
+        """Replay proof steps; ``budget`` is polled every 256 steps,
+        starting with the first."""
         for i, step in enumerate(steps):
-            if budget is not None and (i & 0xFF) == 0xFF:
-                budget.checkpoint("DRAT check: replaying proof")
-            self.apply_step(step)
+            if budget is not None and not i & 0xFF:
+                budget.checkpoint("proof check: replaying hints")
+            if step[0] == "a":
+                self.add(step[1], step[2], step[3])
+            elif step[0] == "d":
+                self.delete(step[1])
+            else:
+                raise LratError(f"unknown proof step kind {step[0]!r}")
 
 
-def check_drat(
-    num_vars: int,
-    clauses: Sequence[Sequence[int]],
-    steps: Sequence[tuple[str, tuple[int, ...]]],
+def check_lrat(
+    clauses: Mapping[int, Sequence[int]],
+    steps: Sequence[tuple],
     core: Sequence[int] = (),
     budget: Optional["Budget"] = None,
-    checker: Optional[DratChecker] = None,
-) -> DratChecker:
-    """Replay a proof against the original CNF; raise DratError on failure.
+    checker: Optional[LratChecker] = None,
+) -> LratChecker:
+    """Replay a proof against cited originals; raise LratError on failure.
 
-    With an empty ``core`` the proof must derive the empty clause; with
-    a core the replayed clause set must refute under those assumption
-    literals by unit propagation alone.  Returns the checker (its state
-    can answer further assumption queries on the same formula).  A live
-    ``checker`` that already holds a prefix of the CNF and proof is fed
+    ``clauses`` maps CNF positions to the original clauses the steps
+    cite.  With an empty ``core`` the proof must derive the empty
+    clause; with a core its last addition must be the negated core.  A
+    live ``checker`` that already accepted a prefix of the proof is fed
     only ``clauses`` and ``steps``, the parts that came after it.
     """
     if checker is None:
-        checker = DratChecker(num_vars)
-    with TRACER.span("drat-load", clauses=len(clauses)):
-        checker.add_clauses(clauses, budget)
-    with TRACER.span("drat-replay", steps=len(steps)):
-        checker.apply_steps(steps, budget)
+        checker = LratChecker()
+    checker.add_originals(clauses)
+    checker.apply(steps, budget)
     if core:
-        if not checker.assumptions_conflict(core):
-            raise DratError(
-                "assumption core does not propagate to a conflict"
-            )
+        if checker.last is None or set(checker.last) != {-l for l in core}:
+            raise LratError("the final step does not refute the core")
     elif not checker.refuted:
-        raise DratError("proof does not derive the empty clause")
+        raise LratError("proof does not derive the empty clause")
     return checker
 
 
@@ -348,32 +169,47 @@ def check_drat(
 class Certificate:
     """A replayable refutation attached to an UNSAT answer.
 
-    ``clauses`` is the original CNF (pre-solver, so the certificate does
-    not depend on the solver's own simplifications), ``steps`` the
-    solver's proof log, and ``core`` the assumption literals for
-    UNSAT-under-assumptions answers (empty for root unsatisfiability).
+    ``clauses`` maps CNF positions to the original clauses the proof
+    cites (as the bit-blaster emitted them, so the certificate does not
+    depend on the solver's own simplifications), ``steps`` is the
+    solver's hinted proof log, and ``core`` holds the assumption
+    literals of an UNSAT-under-assumptions answer (empty for root
+    unsatisfiability).
     """
 
     num_vars: int
-    clauses: list = field(default_factory=list)
+    clauses: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
     core: tuple = ()
     verified: bool = False
     error: Optional[str] = None
 
+    @classmethod
+    def of(cls, num_vars: int, cnf_clauses: Sequence[Sequence[int]],
+           steps: Sequence[tuple], core: Sequence[int] = ()
+           ) -> "Certificate":
+        """The certificate of ``steps`` against a CNF's clause list:
+        only the originals the hints cite are kept."""
+        cited = {}
+        n = len(cnf_clauses)
+        for step in steps:
+            if step[0] == "a":
+                for h in step[3]:
+                    if h < 0 and ~h < n:
+                        cited[~h] = cnf_clauses[~h]
+        return cls(num_vars, cited, list(steps), tuple(core))
+
     def verify(self, budget: Optional["Budget"] = None,
-               checker: Optional[DratChecker] = None) -> bool:
+               checker: Optional[LratChecker] = None) -> bool:
         """Run the independent checker; records verified/error in place.
 
         ``checker``, when given, is a live checker that already accepted
-        everything before this certificate's clauses and steps.
+        everything before this certificate's steps.
         """
         try:
-            check_drat(
-                self.num_vars, self.clauses, self.steps,
-                core=self.core, budget=budget, checker=checker,
-            )
-        except DratError as exc:
+            check_lrat(self.clauses, self.steps, core=self.core,
+                       budget=budget, checker=checker)
+        except LratError as exc:
             self.verified = False
             self.error = str(exc)
             return False

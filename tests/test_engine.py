@@ -267,9 +267,16 @@ class TestVCBatch:
                 assert _fig6_vcs(maker, horizon, jobs=2, cache=cache,
                                  certify=certify) == seq
                 assert cache.stats.hits == 0
+                misses = cache.stats.misses
                 again = _fig6_vcs(maker, horizon, jobs=2, cache=cache,
                                   certify=certify)
-                assert cache.stats.hits == len(seq)
+                if certify:
+                    # The cached UNSATs carry no proof: a certified run
+                    # refuses both, and they count as misses, not hits.
+                    assert (cache.stats.hits,
+                            cache.stats.misses - misses) == (1, 2)
+                else:
+                    assert cache.stats.hits == len(seq)
                 assert [vc[:2] for vc in again] == [vc[:2] for vc in seq]
                 if not certify:
                     # All answered from the cache, with the stored sizes.

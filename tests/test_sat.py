@@ -21,7 +21,7 @@ from repro.smt.sat.cdcl import (
     solve_cnf,
 )
 from repro.smt.sat.dpll import DPLLSolver, solve_cnf_dpll
-from repro.trust import check_drat
+from repro.trust import check_lrat
 from repro.trust.proof import ProofLog
 from tests.conftest import PollBudget
 
@@ -399,7 +399,7 @@ class TestFirstRound:
         assert solver.solve() is SatResult.UNSAT
         assert solver.stats.inprocessings >= 1
         assert solver.stats.eliminated and solver.stats.subsumed
-        check_drat(cnf.num_vars, cnf.clauses, proof.steps)
+        check_lrat(dict(enumerate(cnf.clauses)), proof.steps)
 
     def test_budget_running_out_during_the_first_round_gives_unknown(self):
         cnf = pigeonhole(7, 6)
@@ -500,9 +500,9 @@ def _vivify_outcomes(solver: CDCLSolver, ticks: int):
             assert solver._to_signed([lit ^ 1]) != outcomes[-1][0][-1:]
         return enqueue(lit, reason)
 
-    def spy_replace(cid, keep):
+    def spy_replace(cid, keep, hints):
         outcomes[-1][2] = solver._to_signed(keep)
-        return replace(cid, keep)
+        return replace(cid, keep, hints)
 
     solver._detach = spy_detach
     solver._enqueue = spy_enqueue
@@ -615,7 +615,8 @@ _LOAD_STATE = (
     "_c_act", "_c_dead", "_watches", "_bins", "_vals", "_trail",
     "_trail_lim", "_qhead", "_level", "_reason", "_activity", "_phase",
     "_seen", "_eliminated", "_elim_stack", "_heap", "_heap_act", "_n_irr",
-    "_n_learnt", "_free_lits", "_ok", "stats",
+    "_n_learnt", "_free_lits", "_ok", "stats", "_c_pid", "_units",
+    "_elim_pids",
 )
 
 _BULK_VARS = 6
@@ -633,7 +634,7 @@ def _add_one_by_one(solver: CDCLSolver, clauses, start: int = 0):
     for i in range(start, len(clauses)):
         if solver.budget is not None and (i & 0xFFF) == 0xFFF:
             solver.budget.checkpoint("loading CNF into CDCL")
-        if not solver.add_clause(clauses[i]):
+        if not solver._add_clause(clauses[i], ~i):  # original number i
             return False
     return True
 

@@ -5,8 +5,9 @@ is checked against the naive DPLL solver on random CNFs:
 
 * SAT/UNSAT agreement on every instance;
 * every SAT model actually satisfies the formula;
-* every UNSAT answer carries a DRAT proof the independent checker
-  replays (the ``--certify`` path), with inprocessing both on and off.
+* every UNSAT answer carries a hinted (LRAT) proof the independent
+  checker replays (the ``--certify`` path), with inprocessing both on
+  and off, and logging that proof never changes the search.
 
 Unit propagation settles most of the small random CNFs without a
 conflict, so they never reach a restart, where inprocessing rounds
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from repro.smt.cnf import CNF, check_assignment
 from repro.smt.sat.cdcl import CDCLConfig, CDCLSolver, SatResult, solve_cnf
 from repro.smt.sat.dpll import solve_cnf_dpll
-from repro.trust import check_drat
+from repro.trust import check_lrat
 from repro.trust.proof import ProofLog
 
 # Small enough for DPLL, large enough to exercise learning, reduction,
@@ -117,7 +118,34 @@ def test_unsat_answers_carry_checkable_drat_proofs(cnf):
         assert result is SatResult.UNSAT
         # The independent checker must accept the refutation — with
         # inprocessing on, this covers elimination/strengthening steps.
-        check_drat(cnf.num_vars, cnf.clauses, proof.steps)
+        check_lrat(dict(enumerate(cnf.clauses)), proof.steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cnfs, st.integers(min_value=1, max_value=20))
+def test_proof_logging_does_not_move_the_search(cnf, pivot):
+    """With inprocessing every 4 conflicts, a proof-logging solver makes
+    exactly the search a plain one makes, and its refutations (root or
+    under an assumption) pass the hint checker."""
+    lit = ((pivot - 1) % cnf.num_vars) + 1
+    clauses = dict(enumerate(cnf.clauses))
+    proof = ProofLog()
+    logged = CDCLSolver(cnf.num_vars, AGGRESSIVE, proof=proof)
+    plain = CDCLSolver(cnf.num_vars, AGGRESSIVE)
+    ok = logged.add_cnf(cnf)
+    assert plain.add_cnf(cnf) is ok
+    for assumptions in ([lit], [], [-lit]):
+        if not ok:
+            break
+        result = logged.solve(assumptions)
+        assert plain.solve(assumptions) is result
+        assert logged.stats == plain.stats
+        assert logged.unsat_assumptions() == plain.unsat_assumptions()
+        if result is SatResult.UNSAT:
+            core = logged.unsat_assumptions() if logged._ok else ()
+            check_lrat(clauses, proof.steps, core=core)
+    if not logged._ok:
+        check_lrat(clauses, proof.steps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,8 +178,8 @@ def test_threshold_3sat_learns_and_deletes():
     """Guard: the threshold instances reach learning and proof deletions.
 
     A fixed-seed sample from ``threshold_shapes``, solved under every
-    setup with a proof log; the DRAT tests above are what check the
-    deletions against the checker's deletion index.
+    setup with a proof log; the proof tests above are what check that
+    no step cites a clause after its deletion.
     """
     rng = random.Random(0)
     conflicts = learned = deletions = reduced = 0
@@ -165,7 +193,7 @@ def test_threshold_3sat_learns_and_deletes():
             solver.solve()
             conflicts += solver.stats.conflicts
             learned += solver.stats.learned
-            deletions += sum(1 for kind, _ in proof.steps if kind == "d")
+            deletions += sum(1 for step in proof.steps if step[0] == "d")
             reduced += solver.stats.deleted
     assert conflicts > 0 and learned > 0 and deletions > 0
     # Reduction, not a root-satisfied learnt met by chance, is what

@@ -1,4 +1,4 @@
-"""Trust-layer tests: DRAT proof checking, unsat cores, certified
+"""Trust-layer tests: hinted (LRAT) proof checking, unsat cores, certified
 answers, and the chaos hooks that attack all three.
 
 The contract under test: a certified run (``certify=True`` /
@@ -9,12 +9,7 @@ entry or a crashed portfolio worker degrades the answer (or heals the
 pool) instead of producing a wrong or missing verdict.
 """
 
-import random
-from unittest import mock
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.facade import analyze
 from repro.analysis.result import EXIT_CERTIFICATION, Verdict
@@ -38,8 +33,7 @@ from repro.smt.terms import (
     mk_not,
     mk_or,
 )
-from repro.trust import Certificate, DratChecker, DratError, ProofLog, check_drat
-from repro.trust import drat
+from repro.trust import Certificate, LratChecker, LratError, ProofLog, check_lrat
 from tests.conftest import PollBudget
 
 N, T = 2, 4
@@ -80,25 +74,85 @@ def solve_with_proof(cnf: CNF, assumptions=()):
 # ----- the checker itself ----------------------------------------------------
 
 
+def _root_chain(n: int, order: str) -> CNF:
+    """x1 -> ... -> xn at the root, refuted by -xn; ``order`` decides
+    whether loading cuts the implications or propagation walks them."""
+    cnf = CNF()
+    z = cnf.new_var()
+    xs = [cnf.new_var() for _ in range(n)]
+    chain = [[-a, z, b] if order == "cut-wide" else [-a, b]
+             for a, b in zip(xs, xs[1:])]
+    if order == "units-first":  # each implication is cut to a unit
+        clauses = [[xs[0]]] + chain + [[-xs[-1]]]
+    elif order == "cut-wide":  # z goes, then x1 propagates them
+        clauses = [[-z]] + chain + [[xs[0]], [-xs[-1]]]
+    elif order == "conflict":  # x1 propagates into a root conflict
+        clauses = chain + [[-xs[-1], -xs[0]], [xs[0]]]
+    else:  # propagation walks the chain from the last unit
+        clauses = chain + [[-xs[-1]], [xs[0]]]
+    for clause in clauses:
+        cnf.add_clause(clause)
+    return cnf
+
+
+class TestRootChains:
+    """Root units and cut originals are logged on first citation, and
+    a chain of them as deep as the root trail must not recurse."""
+
+    @pytest.mark.parametrize("order", ["units-first", "cut-wide",
+                                       "propagated", "conflict"])
+    def test_deep_root_chain_is_refuted(self, order):
+        cnf = _root_chain(3000, order)
+        proof = ProofLog()
+        solver = CDCLSolver(cnf.num_vars, proof=proof)
+        assert not solver.add_cnf(cnf)
+        assert check_cnf(cnf, proof.steps).refuted
+        assert sum(len(step[3]) for step in proof.steps) >= 3000
+
+    def test_unused_cut_originals_are_never_logged(self):
+        cnf = CNF()
+        a, b, c, d = (cnf.new_var() for _ in range(4))
+        for clause in ([-a], [a, b, c], [a, c, d], [-b], [-c, -d]):
+            cnf.add_clause(clause)
+        proof = ProofLog()
+        solver = CDCLSolver(cnf.num_vars, proof=proof)
+        assert solver.add_cnf(cnf)
+        # Both wide clauses lost `a`; neither is cited yet.
+        assert len(proof) == 0
+        assert solver.solve() is SatResult.SAT
+
+
+def check_cnf(cnf: CNF, steps, core=(), budget=None):
+    """Check ``steps`` against every clause of ``cnf``, by position."""
+    return check_lrat(dict(enumerate(cnf.clauses)), steps, core=core,
+                      budget=budget)
+
+
 class TestDratChecker:
     def test_accepts_real_cdcl_refutation(self):
         cnf = pigeonhole(4)
         _, result, proof = solve_with_proof(cnf)
         assert result is SatResult.UNSAT
         assert len(proof) > 0
-        # Must not raise.
-        check_drat(cnf.num_vars, cnf.clauses, list(proof.steps))
+        checker = check_cnf(cnf, proof.steps)
+        assert checker.refuted and checker.last == ()
+        # The certificate keeps only the originals the hints cite.
+        cert = Certificate.of(cnf.num_vars, cnf.clauses, proof.steps)
+        assert cert.verify()
+        assert 0 < len(cert.clauses) <= len(cnf.clauses)
+        assert all(cnf.clauses[pos] == lits
+                   for pos, lits in cert.clauses.items())
 
     def test_rejects_mutated_proof(self):
         cnf = pigeonhole(4)
         _, result, proof = solve_with_proof(cnf)
         assert result is SatResult.UNSAT
         # A unit over a fresh variable is never RUP: no clause mentions
-        # it, so assuming its negation cannot conflict.  Prepend it so
-        # it sits before the refutation point.
-        steps = [("a", (cnf.num_vars + 1,))] + list(proof.steps)
-        with pytest.raises(DratError):
-            check_drat(cnf.num_vars, cnf.clauses, steps)
+        # it, so no hint can conflict.  Prepend it so it sits before
+        # the refutation point.
+        steps = [("a", 0, (cnf.num_vars + 1,), ())] + list(proof.steps)
+        with pytest.raises(LratError, match="without a conflict"):
+            check_cnf(cnf, steps)
 
     def test_rejects_proof_against_mutated_cnf(self):
         cnf = pigeonhole(4)
@@ -107,26 +161,38 @@ class TestDratChecker:
         # Dropping a pigeon's at-least-one clause makes the formula SAT;
         # a sound checker cannot accept any refutation of it.
         weakened = [c for c in cnf.clauses if len(c) != 3][1:]
-        with pytest.raises(DratError):
-            check_drat(cnf.num_vars, weakened, list(proof.steps))
+        with pytest.raises(LratError):
+            check_lrat(Certificate.of(cnf.num_vars, weakened,
+                                      proof.steps).clauses, proof.steps)
+        # Nor one that cites a clause the CNF no longer has.
+        cited = Certificate.of(cnf.num_vars, cnf.clauses,
+                               proof.steps).clauses
+        del cited[min(cited)]
+        with pytest.raises(LratError, match="names no live clause"):
+            check_lrat(cited, proof.steps)
 
     def test_rejects_truncated_proof(self):
         cnf = pigeonhole(5)
         _, result, proof = solve_with_proof(cnf)
         steps = [s for s in proof.steps if s[0] == "a"]
         assert result is SatResult.UNSAT and len(steps) > 1
-        with pytest.raises(DratError):
-            check_drat(cnf.num_vars, cnf.clauses, list(proof.steps)[:1])
+        with pytest.raises(LratError):
+            check_cnf(cnf, list(proof.steps)[:1])
+        with pytest.raises(LratError, match="empty clause"):
+            check_cnf(cnf, list(proof.steps)[:-1])
 
     def test_deletions_replay(self):
         # PHP(8) needs enough conflicts to trigger clause-database
         # reductions, so the log contains real "d" steps; the checker
-        # must still replay to refutation.
+        # must still replay to refutation, and forget what they delete.
         cnf = pigeonhole(8)
         _, result, proof = solve_with_proof(cnf)
         assert result is SatResult.UNSAT
-        assert any(step[0] == "d" for step in proof.steps)
-        check_drat(cnf.num_vars, cnf.clauses, list(proof.steps))
+        deleted = {step[1] for step in proof.steps if step[0] == "d"}
+        assert deleted
+        checker = check_cnf(cnf, proof.steps)
+        assert checker.refuted
+        assert not deleted & set(checker.clauses)
 
     def test_unknown_deletion_is_ignored(self):
         # Deleting a clause that was never added only weakens the
@@ -135,214 +201,168 @@ class TestDratChecker:
         cnf = pigeonhole(4)
         _, result, proof = solve_with_proof(cnf)
         assert result is SatResult.UNSAT
-        steps = [("d", (1, 2))] + list(proof.steps)
-        check_drat(cnf.num_vars, cnf.clauses, steps)
+        steps = [("d", 10 ** 6)] + list(proof.steps)
+        assert check_cnf(cnf, steps).refuted
 
     def test_core_certification(self):
         # UNSAT only under assumptions: the empty clause is never
-        # derived; the final core must propagate to a conflict instead.
+        # derived; the final step must be the negated core instead.
         cnf = CNF()
         a, b = cnf.new_var(), cnf.new_var()
         cnf.add_clause([-a, -b])
         _, result, proof = solve_with_proof(cnf, assumptions=[a, b])
         assert result is SatResult.UNSAT
-        check_drat(cnf.num_vars, cnf.clauses, list(proof.steps), core=(a, b))
-        with pytest.raises(DratError):
-            check_drat(cnf.num_vars, cnf.clauses, list(proof.steps), core=(a,))
+        checker = check_cnf(cnf, proof.steps, core=(a, b))
+        assert not checker.refuted and set(checker.last) == {-a, -b}
+        with pytest.raises(LratError, match="does not refute the core"):
+            check_cnf(cnf, proof.steps, core=(a,))
 
     def test_certificate_wrapper_catches_errors(self):
         cnf = pigeonhole(4)
         _, _, proof = solve_with_proof(cnf)
-        good = Certificate(
-            num_vars=cnf.num_vars, clauses=list(cnf.clauses),
-            steps=list(proof.steps),
-        )
+        good = Certificate.of(cnf.num_vars, cnf.clauses, proof.steps)
         assert good.verify() and good.verified and good.error is None
-        bad = Certificate(
-            num_vars=cnf.num_vars, clauses=list(cnf.clauses),
-            steps=[("a", (cnf.num_vars + 1,))] + list(proof.steps),
+        bad = Certificate.of(
+            cnf.num_vars, cnf.clauses,
+            [("a", 0, (cnf.num_vars + 1,), ())] + list(proof.steps),
         )
         assert not bad.verify() and not bad.verified
         assert bad.error
 
+    @staticmethod
+    def _chain(n: int):
+        """A CNF x1, x1 -> x2, ..., -> xn, -xn and its n-step proof:
+        unit x(k+1) from unit xk and the implication, then the empty
+        clause."""
+        clauses = [[1]] + [[-k, k + 1] for k in range(1, n)] + [[-n]]
+        steps = [("a", 1, (2,), (~0, ~1))]
+        for k in range(2, n):
+            steps.append(("a", k, (k + 1,), (k - 1, ~k)))
+        steps.append(("a", n, (), (n - 1, ~n)))
+        return dict(enumerate(clauses)), steps
 
-# ----- the checker's bulk loader ----------------------------------------------
-
-_CHK_VARS = 6
-_chk_literal = st.integers(min_value=-(_CHK_VARS + 3),
-                           max_value=_CHK_VARS + 3).filter(bool)
-_chk_clauses = st.lists(st.lists(_chk_literal, max_size=5), max_size=30)
-
-
-def _recorded_class(made: list):
-    """A checker record class that appends every instance to ``made``."""
-
-    class Recorded(drat._CClause):
-        __slots__ = ()
-
-        def __init__(self, lits):
-            super().__init__(lits)
-            made.append(self)
-
-    return Recorded
-
-
-@pytest.fixture
-def records(monkeypatch):
-    """Every checker record made while the test runs, in creation order."""
-    made = []
-    monkeypatch.setattr(drat, "_CClause", _recorded_class(made))
-    return made
-
-
-def _checker_state(chk: DratChecker) -> dict:
-    return {
-        "num_vars": chk.num_vars,
-        "refuted": chk.refuted,
-        "value": list(chk._value),
-        "trail": list(chk._trail),
-        "qhead": chk._qhead,
-        "watches": {lit: [(r.lits, r.watch, r.deleted) for r in recs]
-                    for lit, recs in chk._watches.items()},
-    }
-
-
-def _reference_add(chk: DratChecker, lits) -> None:
-    """Install one clause the way the checker did before bulk loading."""
-    clause = tuple(lits)
-    for lit in clause:
-        if lit == 0:
-            raise DratError("0 is not a valid literal")
-        chk._ensure_vars(abs(lit))
-    rec = drat._CClause(clause)
-    if chk._by_key is None:
-        chk._recs.append(rec)
-    else:
-        chk._by_key.setdefault(tuple(sorted(clause)), []).append(rec)
-    if chk.refuted:
-        return
-    distinct = tuple(dict.fromkeys(clause))
-    if any(-l in distinct for l in distinct):
-        return  # tautology
-    if any(chk._val(l) > 0 for l in distinct):
-        return  # true at the root
-    free = [l for l in distinct if chk._val(l) == 0]
-    if not free:
-        chk.refuted = True
-    elif len(free) == 1:
-        chk._assign(free[0])
-        if chk._propagate():
-            chk.refuted = True
-    else:
-        rec.watch = (free[0], free[1])
-        chk._watches.setdefault(free[0], []).append(rec)
-        chk._watches.setdefault(free[1], []).append(rec)
-
-
-def _load_one_by_one(chk: DratChecker, clauses, budget=None) -> None:
-    """The per-clause loading loop the bulk loader replaces."""
-    for i, clause in enumerate(clauses):
-        if budget is not None and (i & 0xFFF) == 0xFFF:
-            budget.checkpoint("DRAT check: loading CNF")
-        _reference_add(chk, clause)
-
-
-def _raised(load):
-    try:
-        load()
-    except (DratError, BudgetExhausted) as exc:
-        return type(exc).__name__, str(exc)
-    return None
-
-
-class TestCheckerBulkLoad:
-    @settings(max_examples=300, deadline=None)
-    @given(_chk_clauses, st.none() | st.tuples(st.integers(min_value=0),
-                                                st.integers(min_value=0)))
-    def test_bulk_load_equals_clause_by_clause(self, clauses, zero):
-        clauses = [list(c) for c in clauses]
-        if zero is not None and clauses:
-            clause = clauses[zero[0] % len(clauses)]
-            clause.insert(zero[1] % (len(clause) + 1), 0)
-        bulk, ref = DratChecker(_CHK_VARS), DratChecker(_CHK_VARS)
-        assert (_raised(lambda: bulk.add_clauses(clauses))
-                == _raised(lambda: _load_one_by_one(ref, clauses)))
-        assert _checker_state(bulk) == _checker_state(ref)
-        assert ([r.lits for r in bulk._recs]
-                == [r.lits for r in ref._recs])
-
-    @settings(max_examples=200, deadline=None)
-    @given(_chk_clauses, st.data())
-    def test_lazy_index_retires_the_same_instances(self, clauses, data):
-        made = []
-        with mock.patch.object(drat, "_CClause", _recorded_class(made)):
-            lazy = DratChecker(_CHK_VARS)
-            lazy.add_clauses(clauses)
-            lazy_recs = list(made)
-            made.clear()
-            # An unknown deletion first builds the (empty) index, so
-            # every later addition goes straight into it: the eager
-            # index the lazy one must reproduce.
-            eager = DratChecker(_CHK_VARS)
-            eager.delete_clause(())
-            _load_one_by_one(eager, clauses)
-            eager_recs = list(made)
-            made.clear()
-            ops = data.draw(st.lists(st.one_of(
-                st.tuples(st.just("orig"), st.integers(min_value=0),
-                          st.randoms(use_true_random=False)),
-                st.tuples(st.just("unknown"), st.lists(_chk_literal,
-                                                       max_size=4)),
-                st.tuples(st.just("add"), st.lists(_chk_literal,
-                                                   max_size=4)),
-            ), max_size=40))
-            for op in ops:
-                if op[0] == "orig":
-                    if not clauses:
-                        continue
-                    # A repeated key, possibly with its literals permuted.
-                    lits = list(clauses[op[1] % len(clauses)])
-                    op[2].shuffle(lits)
-                    lazy.delete_clause(lits)
-                    eager.delete_clause(lits)
-                elif op[0] == "unknown":
-                    lazy.delete_clause(op[1])
-                    eager.delete_clause(op[1])
-                else:
-                    lazy.add_clause(op[1])
-                    eager.add_clause(op[1])
-            lazy_recs += made[0::2]
-            eager_recs += made[1::2]
-        assert ([r.deleted for r in lazy_recs]
-                == [r.deleted for r in eager_recs])
-        assert _checker_state(lazy) == _checker_state(eager)
+    @staticmethod
+    def _replay_one_by_one(checker, clauses, steps, budget):
+        """The per-step replay the checker's polling must match."""
+        checker.add_originals(clauses)
+        for i, step in enumerate(steps):
+            if i % 256 == 0:
+                budget.checkpoint("proof check: replaying hints")
+            checker.add(*step[1:])
 
     @pytest.mark.parametrize("polls", [1, 2])
-    def test_budget_runs_out_at_the_same_clause(self, records, polls):
-        rng = random.Random(polls)
-        clauses = [[rng.choice([1, -1]) * v
-                    for v in rng.sample(range(1, 301), rng.randint(2, 3))]
-                   for _ in range(2 * 4096 + 10)]
-        bulk, ref = DratChecker(300), DratChecker(300)
+    def test_budget_runs_out_at_the_same_step(self, polls):
+        clauses, steps = self._chain(2 * 256 + 10)
+        assert check_lrat(clauses, steps).refuted
+        checker, ref = LratChecker(), LratChecker()
         with pytest.raises(BudgetExhausted):
-            bulk.add_clauses(clauses, PollBudget(polls))
-        loaded = len(records)
+            check_lrat(clauses, steps, budget=PollBudget(polls),
+                       checker=checker)
         with pytest.raises(BudgetExhausted):
-            _load_one_by_one(ref, clauses, PollBudget(polls))
-        assert loaded == len(records) - loaded == polls * 4096 - 1
-        assert _checker_state(bulk) == _checker_state(ref)
+            self._replay_one_by_one(ref, clauses, steps, PollBudget(polls))
+        accepted = (polls - 1) * 256
+        assert checker.last_id == ref.last_id == accepted
+        assert checker.clauses == ref.clauses == {
+            **{~pos: tuple(c) for pos, c in clauses.items()},
+            **{s[1]: s[2] for s in steps[:accepted]}}
+        assert not checker.refuted
 
-    def test_check_drat_loads_the_cnf_in_one_call(self):
-        cnf = pigeonhole(4)
+
+def _mutants(proof, cnf):
+    """(name, mutated steps) pairs, each of which must be rejected."""
+    steps = list(proof.steps)
+    adds = [i for i, s in enumerate(steps) if s[0] == "a"]
+    out = []
+    # A dropped hint, at every position of every chain.
+    for i in adds:
+        kind, cid, lits, hints = steps[i]
+        for j in range(len(hints)):
+            dropped = hints[:j] + hints[j + 1:]
+            out.append((f"drop {j} of step {cid}",
+                        steps[:i] + [(kind, cid, lits, dropped)]
+                        + steps[i + 1:]))
+    # Two swapped ids: consecutive additions trade their ids.
+    i, j = adds[0], adds[1]
+    a, b = steps[i], steps[j]
+    swapped = list(steps)
+    swapped[i] = (a[0], b[1], a[2], a[3])
+    swapped[j] = (b[0], a[1], b[2], b[3])
+    out.append(("swapped ids", swapped))
+    # A cited deleted clause, and a cited future id.
+    for i in adds:
+        derived = [h for h in steps[i][3] if h > 0]
+        if derived:
+            out.append(("cites deleted",
+                        steps[:i] + [("d", derived[0])] + steps[i:]))
+            kind, cid, lits, hints = steps[i]
+            future = tuple(cid + 1 if h == derived[0] else h for h in hints)
+            out.append(("cites future",
+                        steps[:i] + [(kind, cid, lits, future)]
+                        + steps[i + 1:]))
+            break
+    # A bogus unit with a real (but not unit) hint.
+    first = cnf.clauses[0]
+    out.append(("bogus unit",
+                [("a", 0, (first[0],), (~0,))] + steps))
+    # A truncated proof.
+    out.append(("truncated", steps[:adds[-1]]))
+    return out
+
+
+class TestHintMutations:
+    """Every corruption of a real CDCL proof must be rejected."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_mutant_of_a_refutation_is_rejected(self, n):
+        cnf = pigeonhole(n)
         _, result, proof = solve_with_proof(cnf)
         assert result is SatResult.UNSAT
-        with mock.patch.object(DratChecker, "add_clauses", autospec=True,
-                               side_effect=DratChecker.add_clauses) as bulk:
-            check_drat(cnf.num_vars, cnf.clauses, list(proof.steps))
-        # One call for the CNF, then one per proof addition.
-        (first, *steps) = bulk.call_args_list
-        assert list(first.args[1]) == cnf.clauses
-        assert len(steps) == sum(1 for k, _ in proof.steps if k == "a")
+        check_cnf(cnf, proof.steps)
+        mutants = _mutants(proof, cnf)
+        names = {name.split(" of ")[0].split(" ")[0] for name, _ in mutants}
+        assert names == {"drop", "swapped", "cites", "bogus", "truncated"}
+        for name, steps in mutants:
+            with pytest.raises(LratError):
+                check_cnf(cnf, steps)
+                pytest.fail(f"accepted mutant: {name}")
+
+    def test_a_core_the_final_step_does_not_refute_is_rejected(self):
+        cnf = CNF()
+        a, b, c = cnf.new_var(), cnf.new_var(), cnf.new_var()
+        cnf.add_clause([-a, -b])
+        cnf.add_clause([-c, a])
+        _, result, proof = solve_with_proof(cnf, assumptions=[c, b])
+        assert result is SatResult.UNSAT
+        check_cnf(cnf, proof.steps, core=(c, b))
+        for core in [(b,), (c,), (a, b), (b, c, a), (-c, b)]:
+            with pytest.raises(LratError, match="does not refute the core"):
+                check_cnf(cnf, proof.steps, core=core)
+
+    def test_lrat_text_round_trips(self):
+        # The standard LRAT rendering replays against the DIMACS CNF:
+        # parsed back, it gives the same steps and the checker accepts.
+        cnf = pigeonhole(6)
+        _, result, proof = solve_with_proof(cnf)
+        assert result is SatResult.UNSAT
+        m = len(cnf.clauses)
+        parsed = CNF.from_dimacs(cnf.to_dimacs())
+        assert parsed.clauses == cnf.clauses
+
+        def ref(n: int) -> int:
+            return ~(n - 1) if n <= m else n - m
+
+        steps = []
+        for line in proof.to_lrat(m).splitlines():
+            nums = line.split()
+            if nums[1] == "d":
+                steps.extend(("d", ref(int(x))) for x in nums[2:-1])
+                continue
+            values = [int(x) for x in nums]
+            cut = values.index(0, 1)
+            steps.append(("a", ref(values[0]), tuple(values[1:cut]),
+                          tuple(ref(h) for h in values[cut + 1:-1])))
+        assert steps == list(proof.steps)
+        assert check_cnf(parsed, steps).refuted
 
 
 class TestCertificationBudget:
@@ -350,20 +370,21 @@ class TestCertificationBudget:
 
     @staticmethod
     def _late_clock(monkeypatch):
-        """A budget whose deadline passes once the checker starts loading."""
+        """A budget whose deadline passes once the checker starts."""
         now = [0.0]
-        load = DratChecker.add_clauses
+        load = LratChecker.add_originals
 
-        def late_load(self, clauses, budget=None):
+        def late_load(self, cited):
             now[0] = 100.0
-            return load(self, clauses, budget)
+            return load(self, cited)
 
-        monkeypatch.setattr(DratChecker, "add_clauses", late_load)
+        monkeypatch.setattr(LratChecker, "add_originals", late_load)
         return Budget(deadline_seconds=10.0, clock=lambda: now[0])
 
     @staticmethod
     def _wide_unsat(solver: SmtSolver) -> None:
-        # Over 4096 clauses, so the checker polls the budget while loading.
+        # Over 4096 clauses, none of which the refutation needs: the
+        # checker polls the budget at its first step regardless.
         x = mk_bool_var("x")
         for i in range(4200):
             solver.add(mk_or(mk_bool_var(f"a{i}"), mk_bool_var(f"b{i}")))
@@ -569,6 +590,47 @@ class TestProofCorruptionChaos:
         assert solver.certificate is None
         assert solver._chaos.log.proofs_corrupted == 1
 
+    def test_corrupted_proof_fails_on_the_pool_path(self, monkeypatch):
+        monkeypatch.setattr(
+            SmtSolver, "_solve_sequential",
+            lambda *args: pytest.fail("solved outside the pool"))
+        solver = SmtSolver(options=EngineOptions(jobs=2, certify=True))
+        solver._chaos = ChaosMonkey(ChaosConfig(proof_corrupt_rate=1.0))
+        x, y = mk_int_var("corrupt_px"), mk_int_var("corrupt_py")
+        solver.set_bounds(x, 2, 60)
+        solver.set_bounds(y, 2, 60)
+        solver.add(mk_eq(x * y, mk_int(3001)))
+        assert solver.check() is CheckResult.UNKNOWN
+        assert solver.last_report.reason is (
+            ExhaustionReason.CERTIFICATION_FAILED)
+        assert solver._chaos.log.proofs_corrupted == 1
+
+    def test_corrupted_proof_fails_on_the_live_checker(self):
+        # The second certification of an incremental session feeds the
+        # live checker only its new steps, the corrupted one first.
+        solver = SmtSolver(incremental=True,
+                           options=EngineOptions(jobs=1, certify=True))
+        x, y = mk_int_var("corrupt_lx"), mk_int_var("corrupt_ly")
+        solver.set_bounds(x, 2, 60)
+        solver.set_bounds(y, 2, 60)
+        g1, g2 = mk_bool_var("corrupt_g1"), mk_bool_var("corrupt_g2")
+        for g in (g1, g2):
+            solver.add(mk_or(mk_not(g), mk_eq(x * y, mk_int(3001))))
+        assert solver.check(g1) is CheckResult.UNSAT
+        assert solver.certificate.verified
+        live = solver._session.checker
+        assert live is not None
+        solver._chaos = ChaosMonkey(ChaosConfig(proof_corrupt_rate=1.0))
+        assert solver.check(g2) is CheckResult.UNKNOWN
+        assert solver.last_report.reason is (
+            ExhaustionReason.CERTIFICATION_FAILED)
+        assert solver._chaos.log.proofs_corrupted == 1
+        assert solver._session.checker is None
+        # Without the corruption the same answer certifies again.
+        solver._chaos = None
+        assert solver.check(g2) is CheckResult.UNSAT
+        assert solver.certificate.verified
+
     def test_corruption_without_certify_goes_unnoticed(self):
         # Without certify=True no proof is logged or checked, so the
         # corruption hook never fires — the baseline answer stands.
@@ -656,11 +718,8 @@ class TestSupervisedPool:
         try:
             result, _ = pool.solve_portfolio(cnf, [None, None], certify=True)
             assert result.verdict is SatResult.UNSAT
-            cert = Certificate(
-                num_vars=cnf.num_vars, clauses=list(cnf.clauses),
-                steps=list(result.proof or []),
-                core=tuple(result.core or ()),
-            )
+            cert = Certificate.of(cnf.num_vars, cnf.clauses,
+                                  result.proof or [], result.core or ())
             assert cert.verify(), cert.error
         finally:
             pool.close()
